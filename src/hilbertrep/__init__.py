@@ -66,6 +66,7 @@ from .sync import (
     SyncAutomaton,
     accepts,
     hilbert_sync,
+    lookup_paths,
     sync_coords,
     sync_from_text,
     sync_locate,

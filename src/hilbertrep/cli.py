@@ -27,7 +27,14 @@ from .linrep import (
     linrep_to_text,
 )
 from .oracle import DEFAULT_MAX_GENERATION, GenerationBudgetError, hc_prefix, walk
-from .sync import hilbert_sync, sync_coords, sync_from_text, sync_locate, sync_to_text
+from .sync import (
+    hilbert_sync,
+    lookup_paths,
+    sync_coords,
+    sync_from_text,
+    sync_locate,
+    sync_to_text,
+)
 from .textfmt import ParseError
 from .verify import format_report, verify_cross, verify_identities, verify_sync_suite
 
@@ -65,6 +72,16 @@ def _parse_index(args: argparse.Namespace) -> int:
     return int(args.n)
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "integer"  # argparse names the type in its error message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hilbertrep",
@@ -91,9 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("-o", "--output", required=True)
 
     p_verify = sub.add_parser("verify", help="run the bounded check suites")
-    p_verify.add_argument("--gen-bound", type=int, default=6)
-    p_verify.add_argument("--digit-bound", type=int, default=6)
-    p_verify.add_argument("--cross-bound", type=int, default=6)
+    p_verify.add_argument("--gen-bound", type=_int_at_least(0), default=6)
+    p_verify.add_argument("--digit-bound", type=_int_at_least(0), default=6)
+    p_verify.add_argument("--cross-bound", type=_int_at_least(0), default=6)
     p_verify.add_argument("--sync-file", help="check this automaton file instead of the built-in")
 
     p_export = sub.add_parser("export", help="write a built-in machine in text form")
@@ -106,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_import.add_argument("-o", "--output")
 
     p_bench = sub.add_parser("bench", help="time coordinate queries at indices near 4**30")
-    p_bench.add_argument("--queries", type=int, default=200)
+    p_bench.add_argument("--queries", type=_int_at_least(1), default=200)
     return parser
 
 
@@ -188,6 +205,7 @@ def _cmd_bench(args) -> int:
         "linrep": lambda i: eval_linrep(rep, n0 + i),
         "sync": lambda i: sync_coords(machine, n0 + i),
     }
+    suffix = {"sync": f" path={lookup_paths(machine)['coords']}"}
     for name, query in runs.items():
         query(0)  # warm up
         start = time.perf_counter()
@@ -195,7 +213,8 @@ def _cmd_bench(args) -> int:
             query(i)
         elapsed = time.perf_counter() - start
         per_query_us = elapsed / args.queries * 1e6
-        print(f"method={name} n=4**30 queries={args.queries} per_query_us={per_query_us:.1f}")
+        print(f"method={name} n=4**30 queries={args.queries} "
+              f"per_query_us={per_query_us:.1f}{suffix.get(name, '')}")
     return EXIT_OK
 
 

@@ -7,13 +7,25 @@ strings zero-padded to a common length.  It accepts exactly the triples
 one is known, the machine answers both lookups: coordinates from an index
 and the index from coordinates, in time linear in the digit count.
 
+Each lookup direction fixes some digits (the index digit for coordinates,
+the coordinate bits for the index) and chooses the rest.  When a machine
+is built, each direction is checked once: if the number of accepted
+completions of r further steps from every state is 0 or 1, independent
+of the fixed digits, and depends on r only through its parity, then a
+table keyed by (parity of the digits left, state, fixed digits) names the
+one arc that can still reach acceptance, and a lookup is a single forward
+pass.  The Hilbert machine passes in both directions.  A machine that
+fails (an imported or corrupted one) is answered by a layered search
+that counts accepted completions per digit position and state, which
+also reports ambiguous lookups.
+
 Transitions not listed are dead; the dead state is implicit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .dfao import from_base, to_base
 from .oracle import Point
@@ -30,6 +42,54 @@ class MultipleAcceptingPathsError(ValueError):
     """Several accepted completions exist; the relation is not a function."""
 
 
+class _Lookup(NamedTuple):
+    """One lookup direction of a machine.
+
+    ``arcs[q][s]`` lists the (output, target) arcs leaving state q whose
+    fixed digits encode to symbol s.  When the parity check passed,
+    ``live[r & 1][q]`` is the number (0 or 1) of accepted completions of r
+    further steps from q, and ``table[r & 1][q][s]`` is the one arc on
+    symbol s into a state with ``live[r & 1]`` set, or None; otherwise both
+    are None and lookups use the search.
+    """
+
+    arcs: tuple
+    live: tuple | None
+    table: tuple | None
+
+
+def _live_step(arcs, live):
+    """Completion counts one step further back, or None unless each is 0 or 1 for every symbol."""
+    result = []
+    for per_state in arcs:
+        sums = {sum(live[target] for _, target in per_symbol) for per_symbol in per_state}
+        if len(sums) != 1 or not sums <= {0, 1}:
+            return None
+        result.append(sums.pop())
+    return tuple(result)
+
+
+def _lookup(arcs, accepting: frozenset[int]) -> _Lookup:
+    """Derive the parity table for ``arcs``, or leave it out when the check fails.
+
+    Starting from the accepting indicator live0, one step gives live1 and
+    a second must give live0 again; with the per-step check this proves by
+    induction that the count of accepted completions after r steps is
+    live0 or live1 by the parity of r, whatever the fixed digits are.
+    """
+    live0 = tuple(int(q in accepting) for q in range(len(arcs)))
+    live1 = _live_step(arcs, live0)
+    if live1 is None or _live_step(arcs, live1) != live0:
+        return _Lookup(arcs, None, None)
+    live = (live0, live1)
+    table = tuple(
+        tuple(tuple(next((arc for arc in per_symbol if after[arc[1]]), None)
+                    for per_symbol in per_state)
+              for per_state in arcs)
+        for after in live)
+    return _Lookup(arcs, live, table)
+
+
 @dataclass(frozen=True, eq=False)
 class SyncAutomaton:
     """Deterministic automaton over digit triples with an implicit dead state."""
@@ -39,8 +99,9 @@ class SyncAutomaton:
     initial: int
     accepting: frozenset[int]
     transitions: Mapping[tuple[int, Triple], int]
-    # per-state arcs indexed by the first (index) digit, built once
-    _arcs: tuple = field(init=False, repr=False)
+    # index digit -> coordinate bits, and coordinate bits -> index digit; built once
+    _coords: _Lookup = field(init=False, repr=False)
+    _locate: _Lookup = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.initial < self.state_count:
@@ -52,10 +113,15 @@ class SyncAutomaton:
                 raise ValueError(f"transition ({q}, {triple}) -> {target} state out of range")
             if any(not 0 <= d < base for d, base in zip(triple, self.bases)):
                 raise ValueError(f"transition digits {triple} out of range for bases {self.bases}")
-        arcs = [[[] for _ in range(self.bases[0])] for _ in range(self.state_count)]
+        bn, bx, by = self.bases
+        by_index = [[[] for _ in range(bn)] for _ in range(self.state_count)]
+        by_point = [[[] for _ in range(bx * by)] for _ in range(self.state_count)]
         for (q, (i, j, k)), target in sorted(self.transitions.items()):
-            arcs[q][i].append((j, k, target))
-        object.__setattr__(self, "_arcs", tuple(tuple(tuple(a) for a in per_state) for per_state in arcs))
+            by_index[q][i].append(((j, k), target))
+            by_point[q][j * by + k].append((i, target))
+        for name, arcs in (("_coords", by_index), ("_locate", by_point)):
+            frozen = tuple(tuple(tuple(a) for a in per_state) for per_state in arcs)
+            object.__setattr__(self, name, _lookup(frozen, self.accepting))
 
     def __eq__(self, other):
         if not isinstance(other, SyncAutomaton):
@@ -125,6 +191,12 @@ def hilbert_sync() -> SyncAutomaton:
     )
 
 
+def _padded(*digit_strings: tuple[int, ...], length: int = 1) -> list[tuple[int, ...]]:
+    """The digit strings left-padded with zeros to a common length of at least ``length``."""
+    t = max(length, *(len(d) for d in digit_strings))
+    return [(0,) * (t - len(d)) + d for d in digit_strings]
+
+
 def accepts(machine: SyncAutomaton, n: int, x: int, y: int, *, length: int | None = None) -> bool:
     """Whether the triple (n, x, y) is accepted.
 
@@ -132,13 +204,9 @@ def accepts(machine: SyncAutomaton, n: int, x: int, y: int, *, length: int | Non
     ``length`` when given, which only adds leading zeros).
     """
     bn, bx, by = machine.bases
-    dn, dx, dy = to_base(n, bn), to_base(x, bx), to_base(y, by)
-    t = max(len(dn), len(dx), len(dy), length or 1)
-    dn = (0,) * (t - len(dn)) + dn
-    dx = (0,) * (t - len(dx)) + dx
-    dy = (0,) * (t - len(dy)) + dy
+    digits = _padded(to_base(n, bn), to_base(x, bx), to_base(y, by), length=length or 1)
     state = machine.initial
-    for triple in zip(dn, dx, dy):
+    for triple in zip(*digits):
         nxt = machine.transitions.get((state, triple))
         if nxt is None:
             return False
@@ -146,89 +214,103 @@ def accepts(machine: SyncAutomaton, n: int, x: int, y: int, *, length: int | Non
     return state in machine.accepting
 
 
-def _suffix_counts(machine: SyncAutomaton, layers: int, options) -> list[list[int]]:
-    """counts[p][q] = number of accepted completions from state q at layer p.
-
-    ``options(p, q)`` yields the successor states available at layer p.
-    """
-    counts = [[0] * machine.state_count for _ in range(layers + 1)]
-    for q in machine.accepting:
-        counts[layers][q] = 1
-    for p in range(layers - 1, -1, -1):
-        nxt = counts[p + 1]
-        row = counts[p]
-        for q in range(machine.state_count):
-            row[q] = sum(nxt[target] for target in options(p, q))
+def _suffix_counts(arcs, accepting: frozenset[int], symbols) -> list[list[int]]:
+    """counts[p][q] = number of accepted completions from state q reading symbols[p:]."""
+    counts = [[0] * len(arcs) for _ in range(len(symbols) + 1)]
+    for q in accepting:
+        counts[-1][q] = 1
+    for p in range(len(symbols) - 1, -1, -1):
+        after, s = counts[p + 1], symbols[p]
+        counts[p] = [sum(after[target] for _, target in per_state[s]) for per_state in arcs]
     return counts
+
+
+def _search(arcs, initial: int, accepting: frozenset[int], symbols) -> tuple[int, list]:
+    """Layered search: the number of accepted paths reading ``symbols``.
+
+    When there is exactly one, the outputs along it come too; otherwise
+    the output list is empty.
+    """
+    counts = _suffix_counts(arcs, accepting, symbols)
+    total = counts[0][initial]
+    outputs = []
+    if total == 1:
+        state = initial
+        for s, after in zip(symbols, counts[1:]):
+            out, state = next(arc for arc in arcs[state][s] if after[arc[1]])
+            outputs.append(out)
+    return total, outputs
+
+
+def _accepted_path(machine: SyncAutomaton, lookup: _Lookup, symbols) -> tuple[int, list]:
+    """The number of accepted paths reading ``symbols`` and the outputs along the only one.
+
+    Through the parity table the count is 0 or 1; through the search it
+    can be any number, and the outputs are empty unless it is 1.
+    """
+    if lookup.table is None:
+        return _search(lookup.arcs, machine.initial, machine.accepting, symbols)
+    parity = len(symbols) & 1
+    state = machine.initial
+    if not lookup.live[parity][state]:
+        return 0, []
+    table = lookup.table
+    outputs = []
+    for s in symbols:
+        parity ^= 1
+        out, state = table[parity][state][s]
+        outputs.append(out)
+    return 1, outputs
 
 
 def sync_coords(machine: SyncAutomaton, n: int) -> Point:
     """The unique (x, y) accepted with index n.
 
-    Layered search over the digits of n: arcs fix the index digit and
-    choose the two coordinate bits, so the work is linear in the digit
-    count.  Raises NoAcceptingPathError or MultipleAcceptingPathsError
-    when the machine does not define exactly one pair.
+    Arcs fix the index digit and choose the two coordinate bits.  When the
+    machine passed the parity check for this direction (the Hilbert
+    machine does), one lookup in the live vector for the digit count's
+    parity decides whether a pair exists and one forward pass through the
+    parity table reads it off.  Otherwise a layered search counts the
+    accepted completions per digit position.  Either way the work is
+    linear in the digit count.  Raises NoAcceptingPathError or
+    MultipleAcceptingPathsError when the machine does not define exactly
+    one pair; only the search can find more than one.
     """
-    digits = to_base(n, machine.bases[0])
-    t = len(digits)
-    arcs = machine._arcs
-
-    def options(p, q):
-        return (target for _, _, target in arcs[q][digits[p]])
-
-    counts = _suffix_counts(machine, t, options)
-    total = counts[0][machine.initial]
+    total, outputs = _accepted_path(machine, machine._coords, to_base(n, machine.bases[0]))
     if total == 0:
         raise NoAcceptingPathError(f"no coordinate pair accepted for index {n}")
     if total > 1:
         raise MultipleAcceptingPathsError(f"{total} coordinate pairs accepted for index {n}")
-    state = machine.initial
+    _, bx, by = machine.bases
     x = y = 0
-    for p in range(t):
-        for j, k, target in arcs[state][digits[p]]:
-            if counts[p + 1][target]:
-                x = 2 * x + j
-                y = 2 * y + k
-                state = target
-                break
+    for j, k in outputs:
+        x = bx * x + j
+        y = by * y + k
     return Point(x, y)
 
 
 def sync_locate(machine: SyncAutomaton, x: int, y: int) -> int:
     """The unique index n accepted with coordinates (x, y).
 
-    Same layered search with the coordinate bits fixed and the index digit
-    chosen.
+    The same two paths as ``sync_coords`` with the coordinate bits fixed
+    (both strings zero-padded to the longer) and the index digit chosen:
+    the parity table when the machine passed the check for this direction,
+    the layered search otherwise.
     """
     bn, bx, by = machine.bases
-    dx, dy = to_base(x, bx), to_base(y, by)
-    t = max(len(dx), len(dy))
-    dx = (0,) * (t - len(dx)) + dx
-    dy = (0,) * (t - len(dy)) + dy
-    arcs = machine._arcs
-
-    def options(p, q):
-        return (target for i in range(bn) for j, k, target in arcs[q][i]
-                if j == dx[p] and k == dy[p])
-
-    counts = _suffix_counts(machine, t, options)
-    total = counts[0][machine.initial]
+    dx, dy = _padded(to_base(x, bx), to_base(y, by))
+    total, outputs = _accepted_path(machine, machine._locate, [j * by + k for j, k in zip(dx, dy)])
     if total == 0:
         raise NoAcceptingPathError(f"no index accepted for coordinates ({x}, {y})")
     if total > 1:
         raise MultipleAcceptingPathsError(f"{total} indices accepted for coordinates ({x}, {y})")
-    state = machine.initial
-    digits = []
-    for p in range(t):
-        for i in range(bn):
-            hit = next((target for j, k, target in arcs[state][i]
-                        if j == dx[p] and k == dy[p] and counts[p + 1][target]), None)
-            if hit is not None:
-                digits.append(i)
-                state = hit
-                break
-    return from_base(digits, bn)
+    return from_base(outputs, bn)
+
+
+def lookup_paths(machine: SyncAutomaton) -> dict[str, str]:
+    """Which path answers each lookup direction: ``table`` or ``search``."""
+    return {name: "search" if lookup.table is None else "table"
+            for name, lookup in (("coords", machine._coords), ("locate", machine._locate))}
 
 
 def sync_to_text(machine: SyncAutomaton) -> str:

@@ -38,6 +38,11 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "coords", "12", "--method", "nope")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "dir", "12x", "--base4")[0] == 2
+    assert run(capsys, "bench", "--queries", "0")[0] == 2
+    assert run(capsys, "bench", "--queries", "-3")[0] == 2
+    assert run(capsys, "verify", "--gen-bound", "-1")[0] == 2
+    assert run(capsys, "verify", "--digit-bound", "-1")[0] == 2
+    assert run(capsys, "verify", "--cross-bound", "-1")[0] == 2
 
 
 def test_oracle_method_budget_exit_3(capsys, monkeypatch):
@@ -115,6 +120,7 @@ def test_bench_reports_both_methods(capsys):
     assert len(lines) == 2
     assert lines[0].startswith("method=linrep n=4**30 queries=10 per_query_us=")
     assert lines[1].startswith("method=sync n=4**30 queries=10 per_query_us=")
+    assert lines[1].endswith(" path=table")
 
 
 def test_help_exits_zero(capsys):

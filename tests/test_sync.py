@@ -1,5 +1,7 @@
 """The lockstep index/coordinate automaton and its lookups."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from hilbertrep.sync import (
     SyncAutomaton,
     accepts,
     hilbert_sync,
+    lookup_paths,
     sync_coords,
     sync_from_text,
     sync_locate,
@@ -30,6 +33,7 @@ def test_machine_shape():
     assert m.transitions[(0, (2, 1, 1))] == 5
     assert m.transitions[(9, (3, 1, 0))] == 2
     assert (1, (0, 1, 1)) not in m.transitions  # implicit dead state
+    assert lookup_paths(m) == {"coords": "table", "locate": "table"}
 
 
 def test_accepts_examples():
@@ -110,8 +114,73 @@ def test_multiple_accepting_paths_are_reported():
     transitions[(0, (1, 0, 0))] = 3  # second accepted pair for index 1
     noisy = SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
                           accepting=m.accepting, transitions=transitions)
+    assert lookup_paths(noisy) == {"coords": "search", "locate": "search"}
     with pytest.raises(MultipleAcceptingPathsError):
         sync_coords(noisy, 1)
+
+
+def _search_only(machine):
+    """A copy of the machine whose lookups always take the layered search."""
+    twin = SyncAutomaton(bases=machine.bases, state_count=machine.state_count,
+                         initial=machine.initial, accepting=machine.accepting,
+                         transitions=machine.transitions)
+    for name in ("_coords", "_locate"):
+        object.__setattr__(twin, name, getattr(twin, name)._replace(live=None, table=None))
+    return twin
+
+
+def _outcome(lookup, *args):
+    try:
+        return "ok", lookup(*args)
+    except (NoAcceptingPathError, MultipleAcceptingPathsError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_paths_agree(machine, indices, points):
+    searched = _search_only(machine)
+    assert lookup_paths(searched) == {"coords": "search", "locate": "search"}
+    for n in indices:
+        assert _outcome(sync_coords, machine, n) == _outcome(sync_coords, searched, n), n
+    for x, y in points:
+        assert _outcome(sync_locate, machine, x, y) == _outcome(sync_locate, searched, x, y), (x, y)
+
+
+def _single_faults(m):
+    """Every machine one transition retarget, deletion or accepting flip away from m."""
+    for key, target in sorted(m.transitions.items()):
+        for new in [None] + [q for q in range(m.state_count) if q != target]:
+            transitions = dict(m.transitions)
+            if new is None:
+                del transitions[key]
+            else:
+                transitions[key] = new
+            yield transitions, m.accepting
+    for q in range(m.state_count):
+        yield dict(m.transitions), m.accepting ^ {q}
+
+
+def test_table_and_search_agree_on_hilbert_machine():
+    grid = [(x, y) for x in range(32) for y in range(32)]
+    _assert_paths_agree(hilbert_sync(), range(4**5), grid)
+
+
+def test_table_and_search_agree_on_single_faults():
+    m = hilbert_sync()
+    rng = random.Random(7)
+    indices = list(range(4**3)) + [rng.randrange(4**40) for _ in range(3)]
+    points = [(x, y) for x in range(8) for y in range(8)]
+    points += [(rng.randrange(2**40), rng.randrange(2**40)) for _ in range(3)]
+    paths = []
+    for transitions, accepting in _single_faults(m):
+        faulty = SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
+                               accepting=accepting, transitions=transitions)
+        paths.append(lookup_paths(faulty))
+        # without a table both sides run the same search, so only tabled machines are compared
+        if "table" in paths[-1].values():
+            _assert_paths_agree(faulty, indices, points)
+    assert len(paths) == 450
+    assert {"coords": "table", "locate": "table"} in paths
+    assert {"coords": "search", "locate": "search"} in paths
 
 
 def test_constructor_validation():
