@@ -15,10 +15,15 @@ from .oracle import STEP, Direction
 from .textfmt import ParseError, content_lines, header_fields, parse_int
 
 
-def to_base(n: int, k: int) -> tuple[int, ...]:
-    """Canonical base-k digits of n, most significant first; zero is (0,)."""
+def require_base(k: int) -> None:
+    """Raise ValueError unless k is a usable digit base (at least 2)."""
     if k < 2:
         raise ValueError(f"base must be at least 2, got {k}")
+
+
+def to_base(n: int, k: int) -> tuple[int, ...]:
+    """Canonical base-k digits of n, most significant first; zero is (0,)."""
+    require_base(k)
     if n < 0:
         raise ValueError(f"cannot represent negative value {n}")
     if n == 0:
@@ -56,6 +61,7 @@ class Dfao:
     initial: int = 0
 
     def __post_init__(self):
+        require_base(self.base)
         count = len(self.transitions)
         if len(self.outputs) != count:
             raise ValueError("one output per state required")

@@ -6,9 +6,11 @@ A linear representation computes a vector value for each index n as
 
 where d_1 ... d_t are the base-k digits of n, most significant first,
 v is an out_dim x rank matrix, each gamma(d) is a rank x rank matrix and
-w is a rank column vector.  Evaluation therefore costs one small
-matrix-vector product per digit, i.e. time linear in the number of digits
-of n.  All entries are exact (ints or Fractions); nothing here rounds.
+w is a rank column vector.  Evaluation reads the digits two at a time,
+from the least significant end, through the products gamma(a) . gamma(b)
+(a k-regular sequence is also k^2-regular): one small matrix-vector
+product per digit pair, i.e. time linear in the number of digits of n.
+All entries are exact (ints or Fractions); nothing here rounds.
 
 The module provides the reference rank-5 representation of the coordinate
 pair sequence, a transducer-composition construction (feeding a
@@ -24,10 +26,11 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
-from .dfao import Dfao, to_base
+from .dfao import Dfao, require_base, to_base
 from .oracle import STEP
-from .ratmat import SpanBasis, mat_mul, mat_vec, matrix, transpose, vec_mat, vector
+from .ratmat import SpanBasis, identity, mat_mul, mat_vec, matrix, transpose, vec_mat, vector
 from .textfmt import ParseError, content_lines, format_scalar, header_fields, parse_int, parse_scalar
 
 
@@ -53,6 +56,7 @@ class LinearRep:
     w: tuple
 
     def __post_init__(self):
+        require_base(self.base)
         object.__setattr__(self, "v", matrix(self.v))
         object.__setattr__(self, "gamma", tuple(matrix(g) for g in self.gamma))
         object.__setattr__(self, "w", vector(self.w))
@@ -73,6 +77,11 @@ class LinearRep:
     @property
     def out_dim(self) -> int:
         return len(self.v)
+
+    @cached_property
+    def _pairs(self) -> tuple:
+        """``_pairs[a][b]`` is gamma(a) . gamma(b); built on first evaluation."""
+        return tuple(tuple(mat_mul(ga, gb) for gb in self.gamma) for ga in self.gamma)
 
 
 @dataclass(frozen=True)
@@ -153,18 +162,26 @@ def hilbert_step_rep() -> LinearRep:
 
 
 def eval_linrep(rep: LinearRep, n: int) -> tuple:
-    """Value at index n, one matrix-vector product per base-k digit of n."""
-    col = rep.w
-    for digit in reversed(to_base(n, rep.base)):
-        col = mat_vec(rep.gamma[digit], col)
-    return mat_vec(rep.v, col)
+    """Value at index n: ``eval_linrep_digits`` on the canonical base-k digits of n."""
+    return eval_linrep_digits(rep, to_base(n, rep.base))
 
 
 def eval_linrep_digits(rep: LinearRep, digits) -> tuple:
-    """Value on an explicit digit string (leading zeros allowed)."""
+    """Value on an explicit digit string (leading zeros allowed).
+
+    The string is read two digits per step from its least significant end,
+    one matrix-vector product with gamma(a) . gamma(b) per pair.  An odd
+    leading digit is applied alone: padding it with a zero would be wrong
+    for representations whose gamma(0) does not fix v.
+    """
+    digits = tuple(digits)
+    pairs = rep._pairs
     col = rep.w
-    for digit in reversed(tuple(digits)):
-        col = mat_vec(rep.gamma[digit], col)
+    odd = len(digits) % 2
+    for i in range(len(digits) - 2, odd - 1, -2):
+        col = mat_vec(pairs[digits[i]][digits[i + 1]], col)
+    if odd:
+        col = mat_vec(rep.gamma[digits[0]], col)
     return mat_vec(rep.v, col)
 
 
@@ -180,8 +197,7 @@ def increment_transducer(k: int) -> Transducer:
     accepts for every nonempty input: the guess must happen at the last
     digit below k-1, or at the front when there is none.
     """
-    if k < 2:
-        raise ValueError(f"base must be at least 2, got {k}")
+    require_base(k)
     start, carry, copy = 0, 1, 2
     moves = set()
     for d in range(k):
@@ -244,14 +260,9 @@ def check_functional(trans: Transducer, max_length: int = 6) -> None:
 
 
 def _word_matrix(rep: LinearRep, word) -> tuple[tuple, ...]:
-    result = None
-    for digit in word:
-        g = rep.gamma[digit]
-        result = g if result is None else mat_mul(result, g)
-    if result is None:
-        rank = rep.rank
-        return tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-    return result
+    if not word:
+        return identity(rep.rank)
+    return reduce(mat_mul, [rep.gamma[digit] for digit in word])
 
 
 def transduce_rep(rep: LinearRep, trans: Transducer, *, functional_check_length: int = 6) -> LinearRep:
@@ -488,7 +499,8 @@ def linrep_to_text(rep: LinearRep) -> str:
     """Serialize to the canonical text form."""
     lines = [f"linrep base={rep.base} out={rep.out_dim} rank={rep.rank}"]
     lines.append("v")
-    lines.extend(" ".join(format_scalar(x) for x in row) for row in rep.v)
+    # rank-0 rows are empty and get no line; the parser restores them
+    lines.extend(" ".join(format_scalar(x) for x in row) for row in rep.v if row)
     for d, g in enumerate(rep.gamma):
         lines.append(f"gamma {d}")
         lines.extend(" ".join(format_scalar(x) for x in row) for row in g)
@@ -545,9 +557,11 @@ def linrep_from_text(text: str) -> LinearRep:
         sections[current].append(tuple(row))
 
     last = lines[-1][0]
-    for label, (rows_needed, _) in expected.items():
+    for label, (rows_needed, width) in expected.items():
         if label not in sections:
             raise ParseError(last, f"missing section {label!r}")
+        if width == 0:  # zero-width rows have no line of their own
+            sections[label] = [()] * rows_needed
         if len(sections[label]) != rows_needed:
             raise ParseError(last, f"section {label!r} has {len(sections[label])} rows, expected {rows_needed}")
     gamma = tuple(tuple(sections[f"gamma {d}"]) for d in range(base))

@@ -10,6 +10,7 @@ tuned beyond that scale.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 Scalar = int | Fraction
 
@@ -38,24 +39,22 @@ def transpose(a) -> tuple[tuple, ...]:
 
 
 def dot(u, v):
-    return norm_scalar(sum(x * y for x, y in zip(u, v)))
+    return norm_scalar(sum(map(mul, u, v)))
 
 
 def mat_vec(a, v) -> tuple:
     """Matrix times column vector."""
-    return tuple(dot(row, v) for row in a)
+    return tuple([dot(row, v) for row in a])
 
 
 def vec_mat(v, a) -> tuple:
     """Row vector times matrix."""
-    if not a:
-        return ()
-    cols = len(a[0])
-    return tuple(norm_scalar(sum(v[i] * a[i][j] for i in range(len(v)))) for j in range(cols))
+    return tuple([dot(v, col) for col in zip(*a)])
 
 
 def mat_mul(a, b) -> tuple[tuple, ...]:
-    return tuple(vec_mat(row, b) for row in a)
+    cols = transpose(b)
+    return tuple(tuple([dot(row, col) for col in cols]) for row in a)
 
 
 class SpanBasis:

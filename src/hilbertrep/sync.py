@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
-from .dfao import from_base, to_base
+from .dfao import from_base, require_base, to_base
 from .oracle import Point
 from .textfmt import ParseError, content_lines, header_fields, parse_int
 
@@ -104,6 +104,8 @@ class SyncAutomaton:
     _locate: _Lookup = field(init=False, repr=False)
 
     def __post_init__(self):
+        for base in self.bases:
+            require_base(base)
         if not 0 <= self.initial < self.state_count:
             raise ValueError(f"initial state {self.initial} out of range")
         if not all(0 <= q < self.state_count for q in self.accepting):

@@ -29,14 +29,17 @@ def content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def header_fields(line: str, tag: str, lineno: int) -> dict[str, str]:
-    """Parse a ``tag key=value ...`` header line into its key/value fields."""
+    """Parse a ``tag key=value ...`` header line into its key/value fields.
+
+    A value may be empty (``key=``): that is how an empty list is written.
+    """
     tokens = line.split()
     if not tokens or tokens[0] != tag:
         raise ParseError(lineno, f"expected header starting with {tag!r}")
     fields: dict[str, str] = {}
     for token in tokens[1:]:
         key, sep, value = token.partition("=")
-        if not sep or not key or not value:
+        if not sep or not key:
             raise ParseError(lineno, f"malformed header field {token!r}")
         if key in fields:
             raise ParseError(lineno, f"duplicate header field {key!r}")

@@ -111,6 +111,8 @@ def test_import_reports_parse_error_with_line(capsys, tmp_path):
     code, _, err = run(capsys, "import", "dfao", str(path))
     assert code == 2
     assert "line" in err
+    path.write_text("linrep base=1 out=1 rank=1\nv\n1\ngamma 0\n1\nw\n1\n")
+    assert run(capsys, "import", "linrep", str(path)) == (2, "", "error: base must be at least 2, got 1\n")
 
 
 def test_bench_reports_both_methods(capsys):

@@ -157,3 +157,5 @@ def test_parse_errors_carry_line_numbers():
         dfao_from_text("\n".join(text.splitlines()[:-1]) + "\n")
     with pytest.raises(ParseError):
         dfao_from_text("")
+    with pytest.raises(ValueError, match="base must be at least 2, got 1"):
+        dfao_from_text("dfao base=1 states=1 initial=0\nstate 0 output=U\n0 0 -> 0\n")

@@ -1,11 +1,13 @@
 """Linear representations: evaluation, composition, minimization, recovery."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbertrep.dfao import dfao_equal, from_base, hilbert_dfao
+from hilbertrep.dfao import dfao_equal, from_base, hilbert_dfao, to_base
 from hilbertrep.linrep import (
     GuessedLinearRep,
     InsufficientDataError,
@@ -75,6 +77,57 @@ def test_eval_matches_walk_random(n):
 def test_eval_ignores_leading_zeros():
     rep = hilbert_linrep()
     assert eval_linrep_digits(rep, (0, 0, 2, 1)) == eval_linrep(rep, 9)
+
+
+def _reference_eval(rep, digits):
+    """One exact matrix-vector product per digit, integral values collapsed to int."""
+    def mat_vec(a, v):
+        out = []
+        for row in a:
+            s = sum(x * y for x, y in zip(row, v))
+            out.append(int(s) if isinstance(s, Fraction) and s.denominator == 1 else s)
+        return tuple(out)
+
+    col = rep.w
+    for digit in reversed(digits):
+        col = mat_vec(rep.gamma[digit], col)
+    return mat_vec(rep.v, col)
+
+
+def _equivalence_reps():
+    rep = hilbert_linrep()
+    shifted = transduce_rep(rep, increment_transducer(4))
+    h, t = Fraction(1, 2), Fraction(1, 3)
+    return {
+        "hilbert": rep,
+        "step": hilbert_step_rep(),
+        "transduced": shifted,
+        "minimized_difference": minimize_rep(difference_rep(shifted, rep)),
+        "guessed_x": guess_linrep([p.x for p in POINTS[: 4**5]], 4, 2).rep,
+        "fractions_base3": LinearRep(base=3, v=((h, 1), (0, t)),
+                                     gamma=(((1, 0), (h, 2)), ((t, 1), (0, h)), ((2, -h), (1, 1))),
+                                     w=(1, t)),
+        # gamma(0) doubles, so every leading zero counts: no zero padding allowed
+        "leading_zeros_count": LinearRep(base=4, v=((1,),), gamma=(((2,),),) + (((1,),),) * 3, w=(1,)),
+    }
+
+
+def test_pairwise_eval_matches_per_digit_reference():
+    """Same values and element types as one product per digit, on every rep."""
+    rng = random.Random(3)
+    for name, rep in _equivalence_reps().items():
+        assert "_pairs" not in vars(rep), name  # built on first evaluation only
+        k = rep.base
+        for n in list(range(4**5)) + [rng.randrange(4**199, 4**200) for _ in range(3)]:
+            got, want = eval_linrep(rep, n), _reference_eval(rep, to_base(n, k))
+            assert got == want and list(map(type, got)) == list(map(type, want)), (name, n)
+        strings = [d for length in range(4) for d in itertools.product(range(k), repeat=length)]
+        strings += [tuple(rng.randrange(k) for _ in range(length))
+                    for length in range(4, 9) for _ in range(20)]
+        for digits in strings:
+            got, want = eval_linrep_digits(rep, digits), _reference_eval(rep, digits)
+            assert got == want and list(map(type, got)) == list(map(type, want)), (name, digits)
+        assert len(vars(rep)["_pairs"]) == k
 
 
 def test_increment_transducer_examples():
@@ -241,7 +294,10 @@ def test_guess_needs_enough_data():
 
 
 def test_text_round_trip():
-    for rep in (hilbert_linrep(), hilbert_step_rep()):
+    rank_zero = (minimize_rep(difference_rep(hilbert_linrep(), hilbert_linrep())),
+                 guess_linrep([0] * 64, 4, 1).rep)
+    assert all(rep.rank == 0 for rep in rank_zero)
+    for rep in (hilbert_linrep(), hilbert_step_rep()) + rank_zero:
         text = linrep_to_text(rep)
         loaded = linrep_from_text(text)
         assert loaded == rep
@@ -256,3 +312,6 @@ def test_text_parse_errors():
         linrep_from_text(text.replace("gamma 3", "gamma 7"))
     with pytest.raises(ParseError):
         linrep_from_text("\n".join(text.splitlines()[:-1]) + "\n")
+    one_digit = "linrep base=1 out=1 rank=1\nv\n1\ngamma 0\n1\nw\n1\n"
+    with pytest.raises(ValueError, match="base must be at least 2, got 1"):
+        linrep_from_text(one_digit)

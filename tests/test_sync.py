@@ -202,6 +202,17 @@ def test_text_round_trip_is_byte_exact():
     assert sync_to_text(loaded) == text
 
 
+def test_text_round_trip_without_accepting_states():
+    m = hilbert_sync()
+    none = SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
+                         accepting=frozenset(), transitions=m.transitions)
+    text = sync_to_text(none)
+    assert text.splitlines()[0].endswith(" accepting=")
+    loaded = sync_from_text(text)
+    assert loaded == none
+    assert sync_to_text(loaded) == text
+
+
 def test_text_parse_errors():
     text = sync_to_text(hilbert_sync())
     with pytest.raises(ParseError, match="line"):
@@ -210,3 +221,5 @@ def test_text_parse_errors():
         sync_from_text(text + "0 [1,1,0] -> 2\n")  # duplicate transition
     with pytest.raises(ParseError):
         sync_from_text("sync bases=4,2 states=10 initial=0 accepting=0\n")
+    with pytest.raises(ValueError, match="base must be at least 2, got 1"):
+        sync_from_text("sync bases=4,1,2 states=1 initial=0 accepting=0\n")
