@@ -71,6 +71,7 @@ from .sync import (
     sync_from_text,
     sync_locate,
     sync_to_text,
+    sync_walk,
 )
 from .textfmt import ParseError
 from .verify import VerifyReport, format_report, verify_cross, verify_identities, verify_sync_suite

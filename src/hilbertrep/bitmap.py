@@ -4,8 +4,11 @@ A stage-g image doubles the coordinate grid: lattice points sit at
 even-even pixels (all of them are visited, so all are lit) and the pixel
 between two adjacent lattice points is lit exactly when the curve visits
 them consecutively.  The resulting image is square with side
-2**(g+1) - 1.  Output is plain-text PBM, chosen over the packed binary
-variant so golden files diff cleanly.
+2**(g+1) - 1.  ``render_generation`` draws it from the walk read off the
+synchronized automaton's coordinate table (``sync_walk``), and
+``render_from_walk`` draws it from the oracle's stage word, the
+independent reference.  Output is plain-text PBM, chosen over the packed
+binary variant so golden files diff cleanly.
 """
 
 from __future__ import annotations
@@ -13,7 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .oracle import DEFAULT_MAX_GENERATION, GenerationBudgetError, generate_generation, walk
-from .sync import hilbert_sync, sync_locate
+from .sync import hilbert_sync, sync_walk
+
+# Rendering no longer locates points, but the traced benchmark run
+# (perfbench/tracing.py) installs a counting shim under this name.
+from .sync import sync_locate  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -37,57 +44,32 @@ def _check_stage(g: int, max_generation: int | None) -> None:
         raise GenerationBudgetError(f"stage {g} image exceeds the budget of stage {budget}")
 
 
-def render_generation(g: int, *, max_generation: int | None = None) -> Bitmap:
-    """Render stage g via index lookups on the synchronized automaton.
-
-    A connector pixel is lit when the indices of its two neighbouring
-    lattice points differ by one (in either order) and both fall inside
-    the stage, i.e. below 4**g.
-    """
-    _check_stage(g, max_generation)
-    machine = hilbert_sync()
-    side = 2 ** (g + 1) - 1
-    limit = 4 ** g
-    index_cache: dict[tuple[int, int], int] = {}
-
-    def index_of(px: int, py: int) -> int:
-        key = (px, py)
-        if key not in index_cache:
-            index_cache[key] = sync_locate(machine, px, py)
-        return index_cache[key]
-
-    rows = []
-    for y in range(side):
-        row = []
-        for x in range(side):
-            if x % 2 == 0 and y % 2 == 0:
-                lit = True
-            elif x % 2 == 0:  # between (x/2, (y-1)/2) and (x/2, (y+1)/2)
-                a = index_of(x // 2, (y - 1) // 2)
-                b = index_of(x // 2, (y + 1) // 2)
-                lit = abs(a - b) == 1 and max(a, b) < limit
-            elif y % 2 == 0:  # between ((x-1)/2, y/2) and ((x+1)/2, y/2)
-                a = index_of((x - 1) // 2, y // 2)
-                b = index_of((x + 1) // 2, y // 2)
-                lit = abs(a - b) == 1 and max(a, b) < limit
-            else:
-                lit = False
-            row.append(lit)
-        rows.append(tuple(row))
-    return Bitmap(width=side, height=side, bits=tuple(rows))
-
-
-def render_from_walk(g: int, *, max_generation: int | None = None) -> Bitmap:
-    """Render stage g from the walked stage word; the independent route."""
-    _check_stage(g, max_generation)
+def _draw(g: int, points) -> Bitmap:
+    """The stage-g image of a walk: its points and the connectors between consecutive ones."""
     side = 2 ** (g + 1) - 1
     grid = [[False] * side for _ in range(side)]
-    points = walk(generate_generation(g, max_generation=max_generation))
     for p in points:
         grid[2 * p.y][2 * p.x] = True
     for a, b in zip(points, points[1:]):
         grid[a.y + b.y][a.x + b.x] = True
     return Bitmap(width=side, height=side, bits=tuple(tuple(row) for row in grid))
+
+
+def render_generation(g: int, *, max_generation: int | None = None) -> Bitmap:
+    """Render stage g from the synchronized automaton's coordinate table.
+
+    ``sync_walk`` reads the coordinates of the indices below 4**g in
+    index order, one pass over the parity table with shared prefixes read
+    once; the image is drawn from that walk.
+    """
+    _check_stage(g, max_generation)
+    return _draw(g, sync_walk(hilbert_sync(), g))
+
+
+def render_from_walk(g: int, *, max_generation: int | None = None) -> Bitmap:
+    """Render stage g from the walked stage word; the independent route."""
+    _check_stage(g, max_generation)
+    return _draw(g, walk(generate_generation(g, max_generation=max_generation)))
 
 
 def count_lit(bitmap: Bitmap) -> int:

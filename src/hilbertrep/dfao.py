@@ -105,6 +105,10 @@ def hilbert_dfao() -> Dfao:
 
 def eval_dfao_digits(machine: Dfao, digits) -> Hashable:
     """Output after running the machine on an explicit digit string."""
+    digits = tuple(digits)
+    low = min(digits, default=0)
+    if low < 0:  # a negative index would silently read from the end of a row
+        raise ValueError(f"digit {low} out of range for base {machine.base}")
     state = machine.initial
     transitions = machine.transitions
     for digit in digits:

@@ -100,6 +100,7 @@ class Transducer:
     moves: frozenset[tuple[int, int, tuple[int, ...], int]]
 
     def __post_init__(self):
+        require_base(self.base)
         if not 0 <= self.initial < self.state_count:
             raise ValueError(f"initial state {self.initial} out of range")
         if not all(0 <= q < self.state_count for q in self.final):
@@ -175,6 +176,9 @@ def eval_linrep_digits(rep: LinearRep, digits) -> tuple:
     for representations whose gamma(0) does not fix v.
     """
     digits = tuple(digits)
+    low = min(digits, default=0)
+    if low < 0:  # a negative index would silently read from the end of the table
+        raise ValueError(f"digit {low} out of range for base {rep.base}")
     pairs = rep._pairs
     col = rep.w
     odd = len(digits) % 2

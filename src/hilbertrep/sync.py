@@ -14,10 +14,12 @@ completions of r further steps from every state is 0 or 1, independent
 of the fixed digits, and depends on r only through its parity, then a
 table keyed by (parity of the digits left, state, fixed digits) names the
 one arc that can still reach acceptance, and a lookup is a single forward
-pass.  The Hilbert machine passes in both directions.  A machine that
-fails (an imported or corrupted one) is answered by a layered search
-that counts accepted completions per digit position and state, which
-also reports ambiguous lookups.
+pass.  ``sync_walk`` runs the coordinate table over all indices of a
+digit count at once, reading each shared prefix once.  The Hilbert
+machine passes in both directions.  A machine that fails (an imported or
+corrupted one) is answered by a layered search that counts accepted
+completions per digit position and state, which also reports ambiguous
+lookups.
 
 Transitions not listed are dead; the dead state is implicit.
 """
@@ -289,6 +291,41 @@ def sync_coords(machine: SyncAutomaton, n: int) -> Point:
         x = bx * x + j
         y = by * y + k
     return Point(x, y)
+
+
+def sync_walk(machine: SyncAutomaton, t: int) -> list[Point]:
+    """The coordinates of n = 0 ... bn**t - 1 in index order.
+
+    Equal to ``[sync_coords(machine, n) for n in range(bn**t)]``, and on a
+    failing machine it raises what that list would raise first.  With a
+    parity table the indices of each digit count are expanded together,
+    one digit per level in index order, so a shared prefix is read once:
+    about (4/3)·4**t table steps for the Hilbert machine instead of one
+    conversion and pass per index.  The digit count's parity decides up
+    front whether that count's indices have coordinates at all.
+    """
+    if t < 0:
+        raise ValueError(f"digit count must be at least 0, got {t}")
+    bn, bx, by = machine.bases
+    lookup = machine._coords
+    if lookup.table is None:
+        return [sync_coords(machine, n) for n in range(bn**t)]
+    points: list[Point] = []
+    for length in range(1, max(t, 1) + 1):
+        if not lookup.live[length & 1][machine.initial]:
+            first = bn ** (length - 1) if length > 1 else 0
+            raise NoAcceptingPathError(f"no coordinate pair accepted for index {first}")
+        # canonical digits: a nonzero leading digit, except the one-digit indices 0 ... bn**t - 1
+        lead = slice(1, None) if length > 1 else slice(0, bn**t)
+        level = [(machine.initial, 0, 0)]
+        for left in range(length - 1, -1, -1):
+            row = lookup.table[left & 1]
+            symbols = lead if left == length - 1 else slice(None)
+            level = [(q, bx * x + j, by * y + k)
+                     for state, x, y in level
+                     for (j, k), q in row[state][symbols]]
+        points.extend(Point(x, y) for _, x, y in level)
+    return points
 
 
 def sync_locate(machine: SyncAutomaton, x: int, y: int) -> int:

@@ -29,7 +29,7 @@ def test_lit_count_formula(g):
     assert count_lit(render_generation(g)) == 2 * 4**g - 1
 
 
-@pytest.mark.parametrize("g", range(1, 6))
+@pytest.mark.parametrize("g", range(1, 8))
 def test_lookup_and_walk_renders_agree(g):
     assert render_generation(g) == render_from_walk(g)
 

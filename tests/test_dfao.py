@@ -39,6 +39,8 @@ def test_base_rejects_bad_input():
         to_base(5, 1)
     with pytest.raises(ValueError):
         from_base((4,), 4)
+    with pytest.raises(ValueError, match="digit -1 out of range for base 4"):
+        eval_dfao_digits(hilbert_dfao(), (2, -1))
 
 
 def test_table_machine_shape():

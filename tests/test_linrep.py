@@ -77,6 +77,8 @@ def test_eval_matches_walk_random(n):
 def test_eval_ignores_leading_zeros():
     rep = hilbert_linrep()
     assert eval_linrep_digits(rep, (0, 0, 2, 1)) == eval_linrep(rep, 9)
+    with pytest.raises(ValueError, match="digit -1 out of range for base 4"):
+        eval_linrep_digits(rep, (-1,))
 
 
 def _reference_eval(rep, digits):
@@ -165,6 +167,22 @@ def test_transduce_with_identity_is_a_no_op():
     assert same.rank == rep.rank
     for n in range(4**5):
         assert eval_linrep(same, n) == eval_linrep(rep, n)
+
+
+def test_transducer_validation():
+    def build(base=4, initial=0, moves=()):
+        return Transducer(base=base, state_count=1, initial=initial, final=frozenset({0}),
+                          moves=frozenset(moves))
+
+    build()
+    with pytest.raises(ValueError, match="base must be at least 2, got 1"):
+        build(base=1)
+    with pytest.raises(ValueError):
+        build(initial=1)
+    with pytest.raises(ValueError):
+        build(moves=[(0, 4, (0,), 0)])
+    with pytest.raises(ValueError):
+        build(moves=[(0, 0, (4,), 0)])
 
 
 def test_transduce_rejects_ambiguous_transducer():

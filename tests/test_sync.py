@@ -17,6 +17,7 @@ from hilbertrep.sync import (
     sync_from_text,
     sync_locate,
     sync_to_text,
+    sync_walk,
 )
 from hilbertrep.textfmt import ParseError
 
@@ -181,6 +182,46 @@ def test_table_and_search_agree_on_single_faults():
     assert len(paths) == 450
     assert {"coords": "table", "locate": "table"} in paths
     assert {"coords": "search", "locate": "search"} in paths
+
+
+def _walk_reference(machine, t):
+    return [sync_coords(machine, n) for n in range(machine.bases[0] ** t)]
+
+
+def _assert_walk_agrees(machine, t):
+    assert _outcome(sync_walk, machine, t) == _outcome(_walk_reference, machine, t), t
+
+
+def test_walk_matches_per_index_lookups():
+    m = hilbert_sync()
+    for t in range(6):
+        _assert_walk_agrees(m, t)
+    assert sync_walk(m, 4) == POINTS
+    searched = _search_only(m)
+    for t in range(4):
+        _assert_walk_agrees(searched, t)
+    # started elsewhere, the machine accepts only odd or only even digit counts
+    for initial in range(m.state_count):
+        rerooted = SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=initial,
+                                 accepting=m.accepting, transitions=m.transitions)
+        assert lookup_paths(rerooted)["coords"] == "table"
+        for t in range(4):
+            _assert_walk_agrees(rerooted, t)
+    with pytest.raises(ValueError, match="at least 0"):
+        sync_walk(m, -1)
+
+
+def test_walk_matches_per_index_lookups_on_single_faults():
+    m = hilbert_sync()
+    tabled = 0
+    for transitions, accepting in _single_faults(m):
+        faulty = SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
+                               accepting=accepting, transitions=transitions)
+        if lookup_paths(faulty)["coords"] == "table":
+            tabled += 1
+            for t in range(4):
+                _assert_walk_agrees(faulty, t)
+    assert tabled > 0
 
 
 def test_constructor_validation():
