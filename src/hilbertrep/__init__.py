@@ -16,6 +16,7 @@ from .dfao import (
     dfao_equal,
     dfao_from_text,
     dfao_to_text,
+    dfao_walk,
     eval_dfao,
     eval_dfao_digits,
     from_base,
@@ -38,6 +39,7 @@ from .linrep import (
     increment_transducer,
     linrep_from_text,
     linrep_to_text,
+    linrep_walk,
     minimize_rep,
     semigroup_trick,
     transduce_rep,
@@ -70,6 +72,7 @@ from .sync import (
     sync_coords,
     sync_from_text,
     sync_locate,
+    sync_locate_walk,
     sync_to_text,
     sync_walk,
 )

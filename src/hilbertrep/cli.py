@@ -175,10 +175,11 @@ def _cmd_verify(args) -> int:
     if args.sync_file:
         with open(args.sync_file, encoding="ascii") as handle:
             machine = sync_from_text(handle.read())
+    budget = _budget()
     reports = []
-    reports.extend(verify_identities(args.gen_bound))
-    reports.extend(verify_sync_suite(args.digit_bound, machine=machine))
-    reports.extend(verify_cross(args.cross_bound))
+    reports.extend(verify_identities(args.gen_bound, max_generation=budget))
+    reports.extend(verify_sync_suite(args.digit_bound, machine=machine, max_generation=budget))
+    reports.extend(verify_cross(args.cross_bound, max_generation=budget))
     for report in sorted(reports, key=lambda r: r.name):
         print(format_report(report))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED

@@ -2,7 +2,8 @@
 
 hilbert_dfao() is an 8-state machine: running it on the base-4 digits of
 n, most significant digit first, ends in a state whose output is the n'th
-letter of the curve word.  The module also carries the digit-string
+letter of the curve word; ``dfao_walk`` reads the letters of a whole
+range of indices at once.  The module also carries the digit-string
 utilities shared by the other representations.
 """
 
@@ -119,6 +120,26 @@ def eval_dfao_digits(machine: Dfao, digits) -> Hashable:
 def eval_dfao(machine: Dfao, n: int) -> Hashable:
     """Output for index n, read from its canonical base-``machine.base`` digits."""
     return eval_dfao_digits(machine, to_base(n, machine.base))
+
+
+def dfao_walk(machine: Dfao, t: int) -> list[Hashable]:
+    """The outputs for n = 0 ... base**t - 1 in index order.
+
+    Equal to ``[eval_dfao(machine, n) for n in range(base**t)]``.  The
+    states of all t-digit strings are expanded one digit per level, so a
+    shared prefix is read once; leading zeros loop at the initial state,
+    so the zero-padded strings end where the canonical digits do.
+    """
+    if t < 0:
+        raise ValueError(f"digit count must be at least 0, got {t}")
+    if not t:
+        return [machine.outputs[machine.initial]]
+    states = [machine.initial]
+    for _ in range(t - 1):
+        states = [target for state in states for target in machine.transitions[state]]
+    # the last digit goes straight to outputs: no list of the last level's states is held
+    after = [[machine.outputs[target] for target in row] for row in machine.transitions]
+    return [output for state in states for output in after[state]]
 
 
 def coords_by_letters(machine: Dfao, n: int) -> tuple[int, int]:

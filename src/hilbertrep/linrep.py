@@ -23,7 +23,6 @@ candidate representations.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -189,6 +188,29 @@ def eval_linrep_digits(rep: LinearRep, digits) -> tuple:
     return mat_vec(rep.v, col)
 
 
+def linrep_walk(rep: LinearRep, t: int) -> list[tuple]:
+    """The values at n = 0 ... base**t - 1 in index order.
+
+    Equal to ``[eval_linrep(rep, n) for n in range(base**t)]``, element
+    types included.  Each index of two or more digits d e s (d nonzero, s
+    the digits after e) costs one product of v . gamma(d) . gamma(e),
+    built once per digit pair, with the suffix column gamma(s) . w; the
+    columns of all strings s shorter than t - 1 are built one digit per
+    level, each from the column of its own suffix.
+    """
+    if t < 0:
+        raise ValueError(f"digit count must be at least 0, got {t}")
+    heads = [mat_mul(rep.v, g) for g in rep.gamma]
+    pair_heads = [mat_mul(head, g) for head in heads[1:] for g in rep.gamma]
+    values = [mat_vec(head, rep.w) for head in heads[:rep.base if t else 1]]
+    cols = [rep.w]
+    for length in range(2, t + 1):
+        if length > 2:
+            cols = [mat_vec(g, col) for g in rep.gamma for col in cols]
+        values.extend(mat_vec(head, col) for head in pair_heads for col in cols)
+    return values
+
+
 def increment_transducer(k: int) -> Transducer:
     """A 3-state transducer turning base-k digits of n into digits of n + 1.
 
@@ -226,41 +248,43 @@ def _adjacency(trans: Transducer):
 def transducer_outputs(trans: Transducer, digits) -> list[tuple[int, ...]]:
     """Outputs of all accepting paths on ``digits``, one entry per path."""
     adj = _adjacency(trans)
-    digits = tuple(digits)
-    results: list[tuple[int, ...]] = []
-
-    def explore(state: int, pos: int, emitted: tuple[int, ...]):
-        if pos == len(digits):
-            if state in trans.final:
-                results.append(emitted)
-            return
-        for out, dst in adj[(state, digits[pos])]:
-            explore(dst, pos + 1, emitted + out)
-
-    explore(trans.initial, 0, ())
-    return results
+    paths = [(trans.initial, ())]
+    for digit in digits:
+        paths = [(dst, emitted + out) for state, emitted in paths for out, dst in adj[(state, digit)]]
+    return [emitted for state, emitted in paths if state in trans.final]
 
 
-def check_functional(trans: Transducer, max_length: int = 6) -> None:
-    """Raise unless each input up to ``max_length`` has at most one accepting path.
+def check_functional(trans: Transducer) -> None:
+    """Raise unless every input has at most one accepting path.
 
     One accepting path per input is slightly stronger than one output per
     input, and is what the composition construction needs: with several
     accepting paths the block matrices would sum their contributions.
+
+    The test is exact for inputs of every length: in the self-product,
+    whose states are pairs of states and whose moves on a digit are pairs
+    of moves on it, the transducer is ambiguous exactly when a pair of
+    distinct moves is both reachable from (initial, initial) and able to
+    reach a pair of final states (Allauzen, Mohri & Rastogi, DLT 2008).
+    A breadth-first search over the product, with one more bit for
+    whether the two paths have parted yet, finds such a completion
+    directly; the error names the shortest such input that comes first
+    in digit order.
     """
     adj = _adjacency(trans)
-
-    def count(state: int, digits) -> int:
-        if not digits:
-            return 1 if state in trans.final else 0
-        return sum(count(dst, digits[1:]) for _, dst in adj[(state, digits[0])])
-
-    for length in range(1, max_length + 1):
-        for digits in itertools.product(range(trans.base), repeat=length):
-            if count(trans.initial, digits) > 1:
-                raise NonFunctionalTransducerError(
-                    f"input {digits} has multiple accepting paths"
-                )
+    start = (trans.initial, trans.initial, False)
+    prefix = {start: ()}  # a shortest input reaching each (state, state, parted)
+    order = [start]
+    for p, q, parted in order:
+        if parted and p in trans.final and q in trans.final:
+            raise NonFunctionalTransducerError(f"input {prefix[p, q, parted]} has multiple accepting paths")
+        for digit in range(trans.base):
+            for move in adj[(p, digit)]:
+                for other in adj[(q, digit)]:
+                    target = (move[1], other[1], parted or (p, move) != (q, other))
+                    if target not in prefix:
+                        prefix[target] = prefix[p, q, parted] + (digit,)
+                        order.append(target)
 
 
 def _word_matrix(rep: LinearRep, word) -> tuple[tuple, ...]:
@@ -269,7 +293,7 @@ def _word_matrix(rep: LinearRep, word) -> tuple[tuple, ...]:
     return reduce(mat_mul, [rep.gamma[digit] for digit in word])
 
 
-def transduce_rep(rep: LinearRep, trans: Transducer, *, functional_check_length: int = 6) -> LinearRep:
+def transduce_rep(rep: LinearRep, trans: Transducer) -> LinearRep:
     """Representation of n -> value(transducer output on digits of n).
 
     The result has one rank-sized block per transducer state: block (i, j)
@@ -280,7 +304,7 @@ def transduce_rep(rep: LinearRep, trans: Transducer, *, functional_check_length:
     """
     if rep.base != trans.base:
         raise ValueError("representation and transducer must share a base")
-    check_functional(trans, functional_check_length)
+    check_functional(trans)
     s = rep.rank
     size = s * trans.state_count
     mats = []

@@ -15,7 +15,8 @@ of the fixed digits, and depends on r only through its parity, then a
 table keyed by (parity of the digits left, state, fixed digits) names the
 one arc that can still reach acceptance, and a lookup is a single forward
 pass.  ``sync_walk`` runs the coordinate table over all indices of a
-digit count at once, reading each shared prefix once.  The Hilbert
+digit count at once, and ``sync_locate_walk`` the locate table over all
+grid points, reading each shared prefix once.  The Hilbert
 machine passes in both directions.  A machine that fails (an imported or
 corrupted one) is answered by a layered search that counts accepted
 completions per digit position and state, which also reports ambiguous
@@ -293,38 +294,65 @@ def sync_coords(machine: SyncAutomaton, n: int) -> Point:
     return Point(x, y)
 
 
+def _table_walk(machine: SyncAutomaton, lookup: _Lookup, t: int, weight):
+    """Path sums over the canonical symbol strings of each length 1 ... max(t, 1).
+
+    Yields one iterator per length, to be read before the next: for each
+    string in symbol order, the sum of ``weight(symbol, output, left)``
+    over the arcs of its one accepted path, ``left`` being the number of
+    symbols after the arc.  Canonical strings have a nonzero leading
+    symbol, except the one-symbol strings below (symbol count)**t.  The
+    strings of a length are expanded together, one symbol per level, so a
+    shared prefix is read once.  A length whose parity leaves no accepted
+    completion from the initial state yields None, and the walk stops.
+    """
+    # rows[left][state][symbol]: (weight, target) of the arc the table names, or None
+    rows = [[[arc and (weight(s, arc[0], left), arc[1]) for s, arc in enumerate(per_state)]
+             for per_state in lookup.table[left & 1]]
+            for left in range(max(t, 1))]
+    symbol_count = len(lookup.arcs[machine.initial])
+    for length in range(1, max(t, 1) + 1):
+        if not lookup.live[length & 1][machine.initial]:
+            yield None
+            return
+        lead = slice(1, None) if length > 1 else slice(0, symbol_count**t)
+        level = [(machine.initial, 0)]
+        for left in range(length - 1, -1, -1):
+            row = rows[left]
+            symbols = lead if left == length - 1 else slice(None)
+            if left:
+                level = [(q, total + w) for state, total in level for w, q in row[state][symbols]]
+            else:  # the last level needs no states, and is read once
+                yield (total + w for state, total in level for w, _ in row[state][symbols])
+
+
 def sync_walk(machine: SyncAutomaton, t: int) -> list[Point]:
     """The coordinates of n = 0 ... bn**t - 1 in index order.
 
     Equal to ``[sync_coords(machine, n) for n in range(bn**t)]``, and on a
     failing machine it raises what that list would raise first.  With a
-    parity table the indices of each digit count are expanded together,
-    one digit per level in index order, so a shared prefix is read once:
-    about (4/3)·4**t table steps for the Hilbert machine instead of one
-    conversion and pass per index.  The digit count's parity decides up
-    front whether that count's indices have coordinates at all.
+    parity table the indices of each digit count are expanded together
+    (``_table_walk``), so a shared prefix is read once: about (4/3)·4**t
+    table steps for the Hilbert machine instead of one conversion and
+    pass per index.  The digit count's parity decides up front whether
+    that count's indices have coordinates at all.
     """
     if t < 0:
         raise ValueError(f"digit count must be at least 0, got {t}")
     bn, bx, by = machine.bases
-    lookup = machine._coords
-    if lookup.table is None:
+    if machine._coords.table is None:
         return [sync_coords(machine, n) for n in range(bn**t)]
+    side = by ** max(t, 1)  # a path sum is x * side + y
+
+    def weight(digit, out, left):
+        return out[0] * bx**left * side + out[1] * by**left
+
     points: list[Point] = []
-    for length in range(1, max(t, 1) + 1):
-        if not lookup.live[length & 1][machine.initial]:
+    for length, totals in enumerate(_table_walk(machine, machine._coords, t, weight), 1):
+        if totals is None:
             first = bn ** (length - 1) if length > 1 else 0
             raise NoAcceptingPathError(f"no coordinate pair accepted for index {first}")
-        # canonical digits: a nonzero leading digit, except the one-digit indices 0 ... bn**t - 1
-        lead = slice(1, None) if length > 1 else slice(0, bn**t)
-        level = [(machine.initial, 0, 0)]
-        for left in range(length - 1, -1, -1):
-            row = lookup.table[left & 1]
-            symbols = lead if left == length - 1 else slice(None)
-            level = [(q, bx * x + j, by * y + k)
-                     for state, x, y in level
-                     for (j, k), q in row[state][symbols]]
-        points.extend(Point(x, y) for _, x, y in level)
+        points.extend(Point(*divmod(total, side)) for total in totals)
     return points
 
 
@@ -344,6 +372,39 @@ def sync_locate(machine: SyncAutomaton, x: int, y: int) -> int:
     if total > 1:
         raise MultipleAcceptingPathsError(f"{total} indices accepted for coordinates ({x}, {y})")
     return from_base(outputs, bn)
+
+
+def sync_locate_walk(machine: SyncAutomaton, t: int) -> list[int]:
+    """The index of every point of the bx**t x by**t grid, x-major.
+
+    Entry ``x * by**t + y`` is ``sync_locate(machine, x, y)``: the result
+    equals ``[sync_locate(machine, x, y) for x in range(bx**t) for y in
+    range(by**t)]``, and on a failing machine it raises what that list
+    would raise first.  With a parity table the points of each digit
+    count are expanded together as ``sync_walk`` expands indices, each
+    path summing the point's grid position and its index.
+    """
+    if t < 0:
+        raise ValueError(f"digit count must be at least 0, got {t}")
+    bn, bx, by = machine.bases
+    side = by**t
+    if machine._locate.table is None:
+        return [sync_locate(machine, x, y) for x in range(bx**t) for y in range(side)]
+    scale = bn ** max(t, 1)  # a path sum is (x * side + y) * scale + n
+
+    def weight(symbol, digit, left):
+        j, k = divmod(symbol, by)
+        return (j * bx**left * side + k * by**left) * scale + digit * bn**left
+
+    grid = [0] * (bx**t * side)
+    for length, totals in enumerate(_table_walk(machine, machine._locate, t, weight), 1):
+        if totals is None:  # x-major, the first point of this digit count is (0, by**(length - 1))
+            y = by ** (length - 1) if length > 1 else 0
+            raise NoAcceptingPathError(f"no index accepted for coordinates (0, {y})")
+        for total in totals:
+            position, n = divmod(total, scale)
+            grid[position] = n
+    return grid
 
 
 def lookup_paths(machine: SyncAutomaton) -> dict[str, str]:

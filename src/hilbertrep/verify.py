@@ -6,6 +6,16 @@ pin down the digit automaton, the functional and space-filling properties
 of the synchronized automaton, and the cross-representation agreement
 battery.  Checks are deterministic, iterate in increasing order so a
 failure reports its smallest witness, and are independent of one another.
+
+Each suite reads a representation over its whole checked range in one
+pass instead of one lookup per index: ``dfao_walk`` for letters,
+``linrep_walk`` for values, ``sync_walk`` for coordinate pairs and
+``sync_locate_walk`` for the index of every grid point.  A walk expands
+all indices (or points) of a digit count together, one digit per level,
+so each shared digit prefix is read once.  Only a synchronized machine
+whose walk fails, because some index or point has no accepted path or
+several, is looked up one index or point at a time, which is what finds
+the first undefined and the first ambiguous index.
 """
 
 from __future__ import annotations
@@ -13,17 +23,27 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .dfao import Dfao, dfao_equal, eval_dfao, hilbert_dfao
+from .dfao import Dfao, dfao_equal, dfao_walk, hilbert_dfao, to_base
 from .linrep import (
     difference_rep,
-    eval_linrep,
     hilbert_linrep,
     increment_transducer,
+    linrep_walk,
     minimize_rep,
     semigroup_trick,
     transduce_rep,
 )
-from .oracle import STEP, Coding, Direction, generate_generation, hc_prefix, recode, walk
+from .oracle import (
+    DEFAULT_MAX_GENERATION,
+    STEP,
+    Coding,
+    Direction,
+    GenerationBudgetError,
+    generate_generation,
+    hc_prefix,
+    recode,
+    walk,
+)
 from .sync import (
     MultipleAcceptingPathsError,
     NoAcceptingPathError,
@@ -32,7 +52,15 @@ from .sync import (
     hilbert_sync,
     sync_coords,
     sync_locate,
+    sync_locate_walk,
+    sync_walk,
 )
+
+# The suites no longer look letters or values up one index at a time, but
+# the traced benchmark run (perfbench/tracing.py) installs counting shims
+# under these names.
+from .dfao import eval_dfao  # noqa: F401
+from .linrep import eval_linrep  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -60,7 +88,83 @@ def _report(name: str, bound: int, witness: tuple[int, ...] | None) -> VerifyRep
     return VerifyReport(name=name, bound=bound, passed=witness is None, counterexample=witness)
 
 
-def verify_identities(max_gen: int, *, machine: Dfao | None = None) -> list[VerifyReport]:
+def _letters_below(machine: Dfao, count: int) -> list:
+    """The machine's letters for (at least) every n < count, from one ``dfao_walk``."""
+    return dfao_walk(machine, len(to_base(count - 1, machine.base)))
+
+
+def _walked(walk_fn, machine: SyncAutomaton, t: int) -> list | None:
+    """A sync walk's result, or None when one of its lookups fails."""
+    try:
+        return walk_fn(machine, t)
+    except (NoAcceptingPathError, MultipleAcceptingPathsError):
+        return None
+
+
+def _first_difference(values, expected) -> tuple[int] | None:
+    """The witness (n,) of the first n where ``values[n] != expected[n]``, or None."""
+    return next(((n,) for n, (value, want) in enumerate(zip(values, expected)) if value != want), None)
+
+
+def _coordinate_pairs(machine: SyncAutomaton, t: int, walkable: bool):
+    """The pairs of n < 4**t and the first undefined and first ambiguous index.
+
+    A pair is None where the machine accepts no pair or several; the walk
+    is only made when ``walkable`` and is only kept when no index fails.
+    """
+    pairs = _walked(sync_walk, machine, t) if walkable else None
+    if pairs is not None:
+        return pairs, None, None
+    pairs = []
+    undefined: tuple[int, ...] | None = None
+    ambiguous: tuple[int, ...] | None = None
+    for n in range(4 ** t):
+        try:
+            pairs.append(sync_coords(machine, n))
+        except NoAcceptingPathError:
+            pairs.append(None)
+            if undefined is None:
+                undefined = (n,)
+        except MultipleAcceptingPathsError:
+            pairs.append(None)
+            if ambiguous is None:
+                ambiguous = (n,)
+    return pairs, undefined, ambiguous
+
+
+def _grid_witnesses(pairs, side: int):
+    """The first repeat, as (earlier index, index), and the first unvisited point of the grid."""
+    seen: dict[tuple[int, int], int] = {}
+    collision: tuple[int, ...] | None = None
+    for n, pair in enumerate(pairs):
+        if pair is None:
+            continue
+        if pair in seen and collision is None:
+            collision = (seen[pair], n)
+        seen.setdefault(pair, n)
+    uncovered = next(((x, y) for x in range(side) for y in range(side) if (x, y) not in seen), None)
+    return collision, uncovered
+
+
+def _round_trip_witness(machine: SyncAutomaton, t: int, pairs, walkable: bool):
+    """The first n whose pair ``sync_locate`` does not take back to n."""
+    # n = 0 has the one digit 0, so pairs have max(t, 1) bits
+    grid = _walked(sync_locate_walk, machine, max(t, 1)) if walkable else None
+    height = 2 ** max(t, 1)
+
+    def back(pair) -> int | None:
+        if grid is not None:
+            return grid[pair[0] * height + pair[1]]
+        try:
+            return sync_locate(machine, pair[0], pair[1])
+        except (NoAcceptingPathError, MultipleAcceptingPathsError):
+            return None
+
+    return next(((n,) for n, pair in enumerate(pairs) if pair is not None and back(pair) != n), None)
+
+
+def verify_identities(max_gen: int, *, machine: Dfao | None = None,
+                      max_generation: int | None = None) -> list[VerifyReport]:
     """Check the letter identities that characterize the curve word.
 
     The machine's letters are checked, for every n up to ``max_gen`` with
@@ -68,17 +172,25 @@ def verify_identities(max_gen: int, *, machine: Dfao | None = None) -> list[Veri
     diagonal recoding of letters 0..x-1; letters 2x..3x-2 likewise recode
     letters 0..x-2; letter 3x-1 is L for odd n and D for even n; letters
     3x..4x-2 are the half-turn recoding of letters 0..x-2; and letter
-    x-1 is R for odd n and U for even n.
+    x-1 is R for odd n and U for even n.  The letters read, 4**(max_gen+1) - 1
+    of them, are those of stage max_gen + 1, so that stage must be within
+    the stage budget (``max_generation``, default DEFAULT_MAX_GENERATION).
     """
+    budget = DEFAULT_MAX_GENERATION if max_generation is None else max_generation
+    if max_gen + 1 > budget:
+        raise GenerationBudgetError(
+            f"generation bound {max_gen} reads the 4**{max_gen + 1} - 1 letters of stage "
+            f"{max_gen + 1}, beyond the budget of stage {budget}"
+        )
     m = hilbert_dfao() if machine is None else machine
-    length = 4 ** (max_gen + 1) - 1
-    letters = [eval_dfao(m, n) for n in range(length)]
+    letters = _letters_below(m, 4 ** (max_gen + 1) - 1)
 
     def scan_range(offset_factor: int, upto_minus: int, coding: Coding) -> tuple[int, ...] | None:
+        recoded = {d: recode(coding, d) for d in Direction}  # recode builds a Direction per call
         for n in range(max_gen + 1):
             x = 4 ** n
             for t in range(x - upto_minus):
-                if letters[offset_factor * x + t] != recode(coding, letters[t]):
+                if letters[offset_factor * x + t] != recoded[letters[t]]:
                     return (n, t)
         return None
 
@@ -104,7 +216,8 @@ def verify_identities(max_gen: int, *, machine: Dfao | None = None) -> list[Veri
 
 
 def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None,
-                      letters_machine: Dfao | None = None) -> list[VerifyReport]:
+                      letters_machine: Dfao | None = None,
+                      max_generation: int | None = None) -> list[VerifyReport]:
     """Check the synchronized automaton's function and space-filling claims.
 
     Over all n < 4**t: exactly one coordinate pair is accepted, it matches
@@ -112,74 +225,43 @@ def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None,
     the letter automaton (one check per direction), the map onto the
     2**t x 2**t grid is a bijection, locate inverts the coordinate lookup,
     the origin triple is accepted, and leading-zero padding is inert.
+
+    Pairs come from ``sync_walk`` and the round trip reads
+    ``sync_locate_walk``.  When a walk fails (some index or point has no
+    accepted path, or several), or the machine's bases are not 4, 2, 2,
+    the lookups are made one index or point at a time instead, which is
+    also what finds the first undefined and the first ambiguous index.
     """
     m = hilbert_sync() if machine is None else machine
     dm = hilbert_dfao() if letters_machine is None else letters_machine
     count = 4 ** t
     side = 2 ** t
-    points = walk(generate_generation(t))
+    points = walk(generate_generation(t, max_generation=max_generation))
+    # only for these bases do the walks cover exactly n < 4**t and the 2**t x 2**t grid
+    walkable = m.bases == (4, 2, 2)
 
-    pairs: list[tuple[int, int] | None] = []
-    undefined: tuple[int, ...] | None = None
-    ambiguous: tuple[int, ...] | None = None
-    for n in range(count):
-        try:
-            pairs.append(tuple(sync_coords(m, n)))
-        except NoAcceptingPathError:
-            pairs.append(None)
-            if undefined is None:
-                undefined = (n,)
-        except MultipleAcceptingPathsError:
-            pairs.append(None)
-            if ambiguous is None:
-                ambiguous = (n,)
+    pairs, undefined, ambiguous = _coordinate_pairs(m, t, walkable)
+    agreement = next(((n,) for n, (pair, point) in enumerate(zip(pairs, points))
+                      if pair is not None and pair != point), None)
+    del points  # not read again: freed before the walks below
 
-    agreement: tuple[int, ...] | None = None
-    for n, pair in enumerate(pairs):
-        if pair is not None and pair != tuple(points[n]):
-            agreement = (n,)
-            break
-
+    letters = _letters_below(dm, count)
     step_witness: dict[Direction, tuple[int, ...] | None] = {d: None for d in Direction}
     for n in range(count - 1):
         a, b = pairs[n], pairs[n + 1]
         if a is None or b is None:
             continue
         delta = (b[0] - a[0], b[1] - a[1])
-        letter = eval_dfao(dm, n)
+        letter = letters[n]
+        if delta == STEP.get(letter):
+            continue  # the letter's own step: every direction's check holds
         for direction in Direction:
             matches = (letter == direction) == (delta == STEP[direction])
             if not matches and step_witness[direction] is None:
                 step_witness[direction] = (n,)
 
-    seen: dict[tuple[int, int], int] = {}
-    collision: tuple[int, ...] | None = None
-    for n, pair in enumerate(pairs):
-        if pair is None:
-            continue
-        if pair in seen and collision is None:
-            collision = (seen[pair], n)
-        seen.setdefault(pair, n)
-    uncovered: tuple[int, ...] | None = None
-    for x in range(side):
-        if uncovered:
-            break
-        for y in range(side):
-            if (x, y) not in seen:
-                uncovered = (x, y)
-                break
-
-    round_trip: tuple[int, ...] | None = None
-    for n, pair in enumerate(pairs):
-        if pair is None:
-            continue
-        try:
-            back = sync_locate(m, pair[0], pair[1])
-        except (NoAcceptingPathError, MultipleAcceptingPathsError):
-            back = None
-        if back != n:
-            round_trip = (n,)
-            break
+    collision, uncovered = _grid_witnesses(pairs, side)
+    round_trip = _round_trip_witness(m, t, pairs, walkable)
 
     origin = None if accepts(m, 0, 0, 0) else (0, 0, 0)
 
@@ -215,39 +297,29 @@ def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None,
     return sorted(reports, key=lambda r: r.name)
 
 
-def verify_cross(bound_exp: int) -> list[VerifyReport]:
+def verify_cross(bound_exp: int, *, max_generation: int | None = None) -> list[VerifyReport]:
     """Cross-check all representations against the walked curve.
 
     For every n below 4**bound_exp the walked coordinates, the linear
     representation and the synchronized lookup must agree, and the letter
-    automaton must reproduce the stage word.  One further one-shot check:
-    the automaton recovered from the minimized step-difference
-    representation must be isomorphic to the letter automaton.
+    automaton must reproduce the stage word; each representation is read
+    over the whole range in one walk.  One further one-shot check: the
+    automaton recovered from the minimized step-difference representation
+    must be isomorphic to the letter automaton.
     """
-    word = hc_prefix(4 ** bound_exp)
-    points = walk(word[: 4 ** bound_exp - 1])
+    count = 4 ** bound_exp
+    word = hc_prefix(count, max_generation=max_generation)
+    points = walk(word[: count - 1])
     rep = hilbert_linrep()
     machine = hilbert_sync()
     letters = hilbert_dfao()
 
-    coords_witness: tuple[int, ...] | None = None
-    for n, point in enumerate(points):
-        if tuple(eval_linrep(rep, n)) != tuple(point):
-            coords_witness = (n,)
-            break
-        try:
-            looked_up = tuple(sync_coords(machine, n))
-        except (NoAcceptingPathError, MultipleAcceptingPathsError):
-            looked_up = None
-        if looked_up != tuple(point):
-            coords_witness = (n,)
-            break
-
-    letters_witness: tuple[int, ...] | None = None
-    for n, code in enumerate(word):
-        if eval_dfao(letters, n) != Direction(code):
-            letters_witness = (n,)
-            break
+    # the first n where either walk leaves the curve; one walk is held at a time
+    coords_witness = min(filter(None, (_first_difference(linrep_walk(rep, bound_exp), points),
+                                       _first_difference(sync_walk(machine, bound_exp), points))),
+                         default=None)
+    # a Direction is an IntEnum equal to its coding in the word
+    letters_witness = _first_difference(dfao_walk(letters, bound_exp), word)
 
     shifted = transduce_rep(rep, increment_transducer(4))
     minimized = minimize_rep(difference_rep(shifted, rep))

@@ -1,5 +1,9 @@
 """The command line interface: outputs, files, exit codes."""
 
+from pathlib import Path
+
+import pytest
+
 from hilbertrep.bitmap import parse_pbm
 from hilbertrep.cli import main
 from hilbertrep.sync import hilbert_sync, sync_to_text
@@ -93,6 +97,36 @@ def test_verify_fails_on_corrupted_sync_file(capsys, tmp_path):
     failing = [line for line in out.splitlines() if "passed=false" in line]
     assert failing
     assert any("witness=(" in line for line in failing)
+
+
+DATA = Path(__file__).parent / "data"
+SMALL_BOUNDS = ("--gen-bound", "3", "--digit-bound", "3", "--cross-bound", "3")
+
+
+def test_verify_output_matches_golden(capsys):
+    """Byte-exact against output recorded from the per-index suites."""
+    code, out, _ = run(capsys, "verify", *SMALL_BOUNDS)
+    assert code == 0
+    assert out == (DATA / "verify_3_3_3.out").read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize("name", ["fault_table", "fault_search"])
+def test_verify_witnesses_match_golden(capsys, name):
+    """Every witness on a corrupted machine that keeps both parity tables, and on one that loses them."""
+    code, out, _ = run(capsys, "verify", "--gen-bound", "3", "--digit-bound", "4",
+                       "--cross-bound", "3", "--sync-file", str(DATA / f"{name}.sync"))
+    assert code == 1
+    assert out == (DATA / f"{name}.out").read_text(encoding="ascii")
+
+
+def test_verify_gen_bound_budget_exit_3(capsys, monkeypatch):
+    code, out, err = run(capsys, "verify", "--gen-bound", "12")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    monkeypatch.setenv("HILBERT_BUDGET", "3")
+    code, out, err = run(capsys, "verify", "--gen-bound", "3")
+    assert (code, out) == (3, "")
+    assert "budget of stage 3" in err and err.count("\n") == 1
 
 
 def test_export_import_round_trip(capsys, tmp_path):

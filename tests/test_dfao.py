@@ -9,6 +9,7 @@ from hilbertrep.dfao import (
     dfao_equal,
     dfao_from_text,
     dfao_to_text,
+    dfao_walk,
     eval_dfao,
     eval_dfao_digits,
     from_base,
@@ -81,6 +82,18 @@ def test_leading_zeros_do_not_change_output(n, pads):
     m = hilbert_dfao()
     digits = to_base(n, 4)
     assert eval_dfao_digits(m, (0,) * pads + digits) == eval_dfao(m, n)
+
+
+def test_walk_matches_per_index_lookups():
+    m = hilbert_dfao()
+    outputs = list(m.outputs)
+    outputs[4] = Direction.U
+    corrupted = Dfao(base=4, transitions=m.transitions, outputs=tuple(outputs))
+    for machine in (m, corrupted):
+        for t in range(8):
+            assert dfao_walk(machine, t) == [eval_dfao(machine, n) for n in range(4**t)], t
+    with pytest.raises(ValueError, match="at least 0"):
+        dfao_walk(m, -1)
 
 
 def test_letters_drive_the_walk():

@@ -15,6 +15,7 @@ from hilbertrep.linrep import (
     NonFunctionalTransducerError,
     StateBudgetExceededError,
     Transducer,
+    check_functional,
     difference_rep,
     eval_linrep,
     eval_linrep_digits,
@@ -24,6 +25,7 @@ from hilbertrep.linrep import (
     increment_transducer,
     linrep_from_text,
     linrep_to_text,
+    linrep_walk,
     minimize_rep,
     semigroup_trick,
     transduce_rep,
@@ -132,6 +134,20 @@ def test_pairwise_eval_matches_per_digit_reference():
         assert len(vars(rep)["_pairs"]) == k
 
 
+def test_walk_matches_per_index_lookups():
+    """Same values and element types as one evaluation per index."""
+    reps = _equivalence_reps()
+    reps["rank_0"] = LinearRep(base=4, v=((), ()), gamma=((),) * 4, w=())
+    for name, rep in reps.items():
+        for t in range(6):
+            got = linrep_walk(rep, t)
+            want = [eval_linrep(rep, n) for n in range(rep.base**t)]
+            assert got == want, (name, t)
+            assert [list(map(type, v)) for v in got] == [list(map(type, v)) for v in want], (name, t)
+    with pytest.raises(ValueError, match="at least 0"):
+        linrep_walk(hilbert_linrep(), -1)
+
+
 def test_increment_transducer_examples():
     t = increment_transducer(4)
     assert transducer_outputs(t, (0, 1, 2)) == [(0, 1, 3)]
@@ -190,8 +206,23 @@ def test_transduce_rejects_ambiguous_transducer():
         base=4, state_count=1, initial=0, final=frozenset({0}),
         moves=frozenset((0, d, out, 0) for d in range(4) for out in ((d,), (0, d))),
     )
-    with pytest.raises(NonFunctionalTransducerError):
+    with pytest.raises(NonFunctionalTransducerError, match=r"input \(0,\) has"):
         transduce_rep(hilbert_linrep(), ambiguous)
+
+
+def test_functional_check_is_exact_for_every_length():
+    check_functional(increment_transducer(4))
+    check_functional(identity_transducer(3))
+    # a chain of seven states: only inputs of length 7 ending in 0 have two accepting paths
+    moves = {(i, d, (d,), i + 1) for i in range(6) for d in range(2)}
+    moves |= {(6, 0, (0,), 7), (6, 0, (1,), 7)}
+    late = Transducer(base=2, state_count=8, initial=0, final=frozenset({7}), moves=frozenset(moves))
+    with pytest.raises(NonFunctionalTransducerError, match=r"input \(0, 0, 0, 0, 0, 0, 0\) has"):
+        check_functional(late)
+    # two paths that part and never reach a final state together are no ambiguity
+    dead_end = Transducer(base=2, state_count=3, initial=0, final=frozenset({1}),
+                          moves=frozenset({(0, 0, (0,), 1), (0, 0, (1,), 2)}))
+    check_functional(dead_end)
 
 
 def test_difference_rep():

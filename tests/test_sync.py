@@ -16,6 +16,7 @@ from hilbertrep.sync import (
     sync_coords,
     sync_from_text,
     sync_locate,
+    sync_locate_walk,
     sync_to_text,
     sync_walk,
 )
@@ -221,6 +222,46 @@ def test_walk_matches_per_index_lookups_on_single_faults():
             tabled += 1
             for t in range(4):
                 _assert_walk_agrees(faulty, t)
+    assert tabled > 0
+
+
+def _locate_walk_reference(machine, t):
+    _, bx, by = machine.bases
+    return [sync_locate(machine, x, y) for x in range(bx**t) for y in range(by**t)]
+
+
+def _assert_locate_walk_agrees(machine, t):
+    got = _outcome(sync_locate_walk, machine, t)
+    assert got == _outcome(_locate_walk_reference, machine, t), t
+    return got[0]
+
+
+def test_locate_walk_matches_per_point_lookups():
+    m = hilbert_sync()
+    assert sync_locate_walk(m, 4) == [sync_locate(m, x, y) for x in range(16) for y in range(16)]
+    searched = _search_only(m)
+    outcomes = set()
+    for machine in [m, searched] + [
+            SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=initial,
+                          accepting=m.accepting, transitions=m.transitions)
+            for initial in range(m.state_count)]:
+        for t in range(4):
+            outcomes.add(_assert_locate_walk_agrees(machine, t))
+    assert outcomes == {"ok", NoAcceptingPathError}  # re-rooted machines fail at some digit counts
+    with pytest.raises(ValueError, match="at least 0"):
+        sync_locate_walk(m, -1)
+
+
+def test_locate_walk_matches_per_point_lookups_on_single_faults():
+    m = hilbert_sync()
+    tabled = 0
+    for transitions, accepting in _single_faults(m):
+        faulty = SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
+                               accepting=accepting, transitions=transitions)
+        if lookup_paths(faulty)["locate"] == "table":
+            tabled += 1
+            for t in range(4):
+                _assert_locate_walk_agrees(faulty, t)
     assert tabled > 0
 
 
