@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .oracle import DEFAULT_MAX_GENERATION, GenerationBudgetError, generate_generation, walk
+from .oracle import generate_generation, require_stage, walk
 from .sync import hilbert_sync, sync_walk
 
 # Rendering no longer locates points, but the traced benchmark run
@@ -37,11 +37,9 @@ class Bitmap:
 
 
 def _check_stage(g: int, max_generation: int | None) -> None:
-    budget = DEFAULT_MAX_GENERATION if max_generation is None else max_generation
     if g < 1:
         raise ValueError(f"stage index must be at least 1, got {g}")
-    if g > budget:
-        raise GenerationBudgetError(f"stage {g} image exceeds the budget of stage {budget}")
+    require_stage(g, max_generation)
 
 
 def _draw(g: int, points) -> Bitmap:

@@ -5,9 +5,10 @@ method), locate (coordinates to index), render (PBM image of a stage),
 verify (the bounded check suites), export / import (text formats of the
 machines), bench (query timing at large indices).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 resource/budget error.  The HILBERT_BUDGET environment variable
-overrides the stage expansion budget.
+Exit codes, all decided in ``main``: 0 success, 1 a ``verify`` check failed,
+2 a usage, parse, file or any other error, 3 a stage beyond the budget
+(the HILBERT_BUDGET environment variable sets it).  An error after argument
+parsing prints one ``error:`` line on stderr; no input gives a traceback.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .linrep import (
     linrep_from_text,
     linrep_to_text,
 )
-from .oracle import DEFAULT_MAX_GENERATION, GenerationBudgetError, hc_prefix, walk
+from .oracle import Direction, GenerationBudgetError, hc_prefix
 from .sync import (
     hilbert_sync,
     lookup_paths,
@@ -35,7 +36,6 @@ from .sync import (
     sync_locate,
     sync_to_text,
 )
-from .textfmt import ParseError
 from .verify import format_report, verify_cross, verify_identities, verify_sync_suite
 
 EXIT_OK = 0
@@ -43,24 +43,17 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-_EXPORTERS = {
-    "dfao": lambda: dfao_to_text(hilbert_dfao()),
-    "linrep": lambda: linrep_to_text(hilbert_linrep()),
-    "steprep": lambda: linrep_to_text(hilbert_step_rep()),
-    "sync": lambda: sync_to_text(hilbert_sync()),
-}
-
-_PARSERS = {
-    "dfao": (dfao_from_text, dfao_to_text),
-    "linrep": (linrep_from_text, linrep_to_text),
-    "steprep": (linrep_from_text, linrep_to_text),
-    "sync": (sync_from_text, sync_to_text),
+_MACHINES = {
+    "dfao": (hilbert_dfao, dfao_from_text, dfao_to_text),
+    "linrep": (hilbert_linrep, linrep_from_text, linrep_to_text),
+    "steprep": (hilbert_step_rep, linrep_from_text, linrep_to_text),
+    "sync": (hilbert_sync, sync_from_text, sync_to_text),
 }
 
 
-def _budget() -> int:
+def _budget() -> int | None:
     value = os.environ.get("HILBERT_BUDGET")
-    return int(value) if value else DEFAULT_MAX_GENERATION
+    return int(value) if value else None
 
 
 def _parse_index(args: argparse.Namespace) -> int:
@@ -104,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_locate.add_argument("y", type=int)
 
     p_render = sub.add_parser("render", help="write a stage image as plain PBM")
-    p_render.add_argument("g", type=int, help="stage index, at least 1")
+    p_render.add_argument("g", type=_int_at_least(1), help="stage index, at least 1")
     p_render.add_argument("-o", "--output", required=True)
 
     p_verify = sub.add_parser("verify", help="run the bounded check suites")
@@ -114,11 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--sync-file", help="check this automaton file instead of the built-in")
 
     p_export = sub.add_parser("export", help="write a built-in machine in text form")
-    p_export.add_argument("kind", choices=sorted(_EXPORTERS))
+    p_export.add_argument("kind", choices=sorted(_MACHINES))
     p_export.add_argument("-o", "--output")
 
     p_import = sub.add_parser("import", help="load a machine file and print it canonically")
-    p_import.add_argument("kind", choices=sorted(_PARSERS))
+    p_import.add_argument("kind", choices=sorted(_MACHINES))
     p_import.add_argument("path")
     p_import.add_argument("-o", "--output")
 
@@ -145,7 +138,9 @@ def _cmd_dir(args) -> int:
 def _cmd_coords(args) -> int:
     n = _parse_index(args)
     if args.method == "oracle":
-        x, y = walk(hc_prefix(n, max_generation=_budget()))[n]
+        word = hc_prefix(n, max_generation=_budget())  # the sum of its moves: no walk is built
+        x = word.count(Direction.R) - word.count(Direction.L)
+        y = word.count(Direction.U) - word.count(Direction.D)
     elif args.method == "dfao":
         x, y = coords_by_letters(hilbert_dfao(), n)
     elif args.method == "linrep":
@@ -161,9 +156,7 @@ def _cmd_locate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_render(args, parser: argparse.ArgumentParser) -> int:
-    if args.g < 1:
-        parser.error(f"stage index must be at least 1, got {args.g}")
+def _cmd_render(args) -> int:
     bitmap = render_generation(args.g, max_generation=_budget())
     with open(args.output, "wb") as handle:
         handle.write(write_pbm(bitmap))
@@ -186,12 +179,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    _write_output(_EXPORTERS[args.kind](), args.output)
+    built_in, _, store = _MACHINES[args.kind]
+    _write_output(store(built_in()), args.output)
     return EXIT_OK
 
 
 def _cmd_import(args) -> int:
-    load, store = _PARSERS[args.kind]
+    _, load, store = _MACHINES[args.kind]
     with open(args.path, encoding="ascii") as handle:
         machine = load(handle.read())
     _write_output(store(machine), args.output)
@@ -219,39 +213,28 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "dir": _cmd_dir,
+    "coords": _cmd_coords,
+    "locate": _cmd_locate,
+    "render": _cmd_render,
+    "verify": _cmd_verify,
+    "export": _cmd_export,
+    "import": _cmd_import,
+    "bench": _cmd_bench,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:
-        if args.command == "dir":
-            return _cmd_dir(args)
-        if args.command == "coords":
-            return _cmd_coords(args)
-        if args.command == "locate":
-            return _cmd_locate(args)
-        if args.command == "render":
-            return _cmd_render(args, parser)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "export":
-            return _cmd_export(args)
-        if args.command == "import":
-            return _cmd_import(args)
-        return _cmd_bench(args)
-    except GenerationBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        return _COMMANDS[args.command](args)
+    except Exception as exc:  # budget, parse and file errors, and anything unforeseen
+        print(f"error: {exc}", file=sys.stderr)  # one line, never a traceback
+        return EXIT_BUDGET if isinstance(exc, GenerationBudgetError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -143,13 +143,22 @@ def dfao_walk(machine: Dfao, t: int) -> list[Hashable]:
 
 
 def coords_by_letters(machine: Dfao, n: int) -> tuple[int, int]:
-    """Position after n steps when the machine's outputs drive a walk."""
-    x = y = 0
-    for i in range(n):
-        dx, dy = STEP[eval_dfao(machine, i)]
-        x += dx
-        y += dy
-    return (x, y)
+    """Position after n steps when the machine's outputs drive a walk.
+
+    In O(log n) work: each digit d of n, followed by r digits, adds the
+    summed steps of all r-digit strings read from the targets of the digits
+    below d.
+    """
+    digits = to_base(n, machine.base)
+    sums = [[STEP[output] for output in machine.outputs]]  # sums[r][q]: over r-digit strings from q
+    for _ in digits[1:]:
+        sums.append([tuple(map(sum, zip(*(sums[-1][q] for q in row)))) for row in machine.transitions])
+    state, blocks = machine.initial, []
+    for r, digit in zip(range(len(digits) - 1, -1, -1), digits):
+        row = machine.transitions[state]
+        blocks.extend(sums[r][q] for q in row[:digit])
+        state = row[digit]
+    return tuple(map(sum, zip((0, 0), *blocks)))
 
 
 def _bfs_order(machine: Dfao) -> list[int]:

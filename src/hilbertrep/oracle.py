@@ -83,6 +83,13 @@ def recode(coding: Coding, letter: Direction) -> Direction:
     return Direction(_CODING_TABLES[coding][letter])
 
 
+def require_stage(n: int, max_generation: int | None = None) -> None:
+    """The one stage-budget check: raise GenerationBudgetError if n exceeds the budget."""
+    budget = DEFAULT_MAX_GENERATION if max_generation is None else max_generation
+    if n > budget:
+        raise GenerationBudgetError(f"stage {n} is beyond the budget of stage {budget}")
+
+
 def generate_generation(n: int, *, max_generation: int | None = None) -> bytes:
     """Return stage n of the curve, a word of length 4**n - 1.
 
@@ -92,15 +99,11 @@ def generate_generation(n: int, *, max_generation: int | None = None) -> bytes:
     (R, U, L) with the parity of n.
 
     Raises GenerationBudgetError when n exceeds ``max_generation``
-    (default DEFAULT_MAX_GENERATION), ValueError when n is negative.
+    (see require_stage), ValueError when n is negative.
     """
-    budget = DEFAULT_MAX_GENERATION if max_generation is None else max_generation
     if n < 0:
         raise ValueError(f"stage index must be non-negative, got {n}")
-    if n > budget:
-        raise GenerationBudgetError(
-            f"stage {n} needs 4**{n} - 1 letters, beyond the budget of stage {budget}"
-        )
+    require_stage(n, max_generation)
     word = b""
     for stage in range(n):
         joins = _JOINS_FROM_EVEN if stage % 2 == 0 else _JOINS_FROM_ODD
@@ -121,20 +124,17 @@ def hc_prefix(length: int, *, max_generation: int | None = None) -> bytes:
     """
     if length < 0:
         raise ValueError(f"prefix length must be non-negative, got {length}")
-    n = 0
-    while 4**n - 1 < length:
-        n += 1
+    n = (length.bit_length() + 1) // 2  # the smallest n with 4**n - 1 >= length
     return generate_generation(n, max_generation=max_generation)[:length]
 
 
-def walk(word: Iterable[int], start: Point = Point(0, 0)) -> list[Point]:
-    """Follow ``word`` from ``start`` and return all visited points.
+def walk(word: Iterable[int]) -> list[Point]:
+    """Follow ``word`` from the origin and return all visited points.
 
-    The result has one point per letter plus the starting point; a step
-    that would leave the non-negative quadrant raises
-    NegativeCoordinateError.
+    The result has one point per letter plus the origin; a step that
+    would leave the non-negative quadrant raises NegativeCoordinateError.
     """
-    x, y = start
+    x = y = 0
     points = [Point(x, y)]
     append = points.append
     for code in word:

@@ -196,20 +196,16 @@ def hilbert_sync() -> SyncAutomaton:
     )
 
 
-def _padded(*digit_strings: tuple[int, ...], length: int = 1) -> list[tuple[int, ...]]:
-    """The digit strings left-padded with zeros to a common length of at least ``length``."""
-    t = max(length, *(len(d) for d in digit_strings))
+def _padded(*digit_strings: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The digit strings left-padded with zeros to the length of the longest."""
+    t = max(len(d) for d in digit_strings)
     return [(0,) * (t - len(d)) + d for d in digit_strings]
 
 
-def accepts(machine: SyncAutomaton, n: int, x: int, y: int, *, length: int | None = None) -> bool:
-    """Whether the triple (n, x, y) is accepted.
-
-    The three digit strings are zero-padded to a common length (at least
-    ``length`` when given, which only adds leading zeros).
-    """
+def accepts(machine: SyncAutomaton, n: int, x: int, y: int) -> bool:
+    """Whether (n, x, y) is accepted, its three digit strings zero-padded to a common length."""
     bn, bx, by = machine.bases
-    digits = _padded(to_base(n, bn), to_base(x, bx), to_base(y, by), length=length or 1)
+    digits = _padded(to_base(n, bn), to_base(x, bx), to_base(y, by))
     state = machine.initial
     for triple in zip(*digits):
         nxt = machine.transitions.get((state, triple))

@@ -6,6 +6,8 @@ pin down the digit automaton, the functional and space-filling properties
 of the synchronized automaton, and the cross-representation agreement
 battery.  Checks are deterministic, iterate in increasing order so a
 failure reports its smallest witness, and are independent of one another.
+``zero_padding`` is decided exactly, not sampled: the initial state must
+loop on the all-zero triple, which makes leading zeros inert at any length.
 
 Each suite reads a representation over its whole checked range in one
 pass instead of one lookup per index: ``dfao_walk`` for letters,
@@ -20,7 +22,6 @@ the first undefined and the first ambiguous index.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .dfao import Dfao, dfao_equal, dfao_walk, hilbert_dfao, to_base
@@ -34,14 +35,13 @@ from .linrep import (
     transduce_rep,
 )
 from .oracle import (
-    DEFAULT_MAX_GENERATION,
     STEP,
     Coding,
     Direction,
-    GenerationBudgetError,
     generate_generation,
     hc_prefix,
     recode,
+    require_stage,
     walk,
 )
 from .sync import (
@@ -174,14 +174,9 @@ def verify_identities(max_gen: int, *, machine: Dfao | None = None,
     3x..4x-2 are the half-turn recoding of letters 0..x-2; and letter
     x-1 is R for odd n and U for even n.  The letters read, 4**(max_gen+1) - 1
     of them, are those of stage max_gen + 1, so that stage must be within
-    the stage budget (``max_generation``, default DEFAULT_MAX_GENERATION).
+    the stage budget (``max_generation``, see ``require_stage``).
     """
-    budget = DEFAULT_MAX_GENERATION if max_generation is None else max_generation
-    if max_gen + 1 > budget:
-        raise GenerationBudgetError(
-            f"generation bound {max_gen} reads the 4**{max_gen + 1} - 1 letters of stage "
-            f"{max_gen + 1}, beyond the budget of stage {budget}"
-        )
+    require_stage(max_gen + 1, max_generation)
     m = hilbert_dfao() if machine is None else machine
     letters = _letters_below(m, 4 ** (max_gen + 1) - 1)
 
@@ -216,7 +211,6 @@ def verify_identities(max_gen: int, *, machine: Dfao | None = None,
 
 
 def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None,
-                      letters_machine: Dfao | None = None,
                       max_generation: int | None = None) -> list[VerifyReport]:
     """Check the synchronized automaton's function and space-filling claims.
 
@@ -233,10 +227,8 @@ def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None,
     also what finds the first undefined and the first ambiguous index.
     """
     m = hilbert_sync() if machine is None else machine
-    dm = hilbert_dfao() if letters_machine is None else letters_machine
+    points = walk(generate_generation(t, max_generation=max_generation))  # budget check before 4**t
     count = 4 ** t
-    side = 2 ** t
-    points = walk(generate_generation(t, max_generation=max_generation))
     # only for these bases do the walks cover exactly n < 4**t and the 2**t x 2**t grid
     walkable = m.bases == (4, 2, 2)
 
@@ -245,7 +237,7 @@ def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None,
                       if pair is not None and pair != point), None)
     del points  # not read again: freed before the walks below
 
-    letters = _letters_below(dm, count)
+    letters = _letters_below(hilbert_dfao(), count)
     step_witness: dict[Direction, tuple[int, ...] | None] = {d: None for d in Direction}
     for n in range(count - 1):
         a, b = pairs[n], pairs[n + 1]
@@ -260,25 +252,11 @@ def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None,
             if not matches and step_witness[direction] is None:
                 step_witness[direction] = (n,)
 
-    collision, uncovered = _grid_witnesses(pairs, side)
+    collision, uncovered = _grid_witnesses(pairs, 2 ** t)
     round_trip = _round_trip_witness(m, t, pairs, walkable)
 
     origin = None if accepts(m, 0, 0, 0) else (0, 0, 0)
-
-    # exact padding transition plus a randomized spot check
-    padding: tuple[int, ...] | None = None
-    if m.transitions.get((m.initial, (0, 0, 0))) != m.initial:
-        padding = (0, 0, 0)
-    else:
-        rng = random.Random(20)
-        for _ in range(200):
-            n = rng.randrange(count)
-            x = rng.randrange(side)
-            y = rng.randrange(side)
-            base = accepts(m, n, x, y)
-            if any(accepts(m, n, x, y, length=t + extra) != base for extra in (1, 2, 3)):
-                padding = (n, x, y)
-                break
+    padding = None if m.transitions.get((m.initial, (0, 0, 0))) == m.initial else (0, 0, 0)
 
     reports = [
         _report("coords_defined", t, undefined),
@@ -307,6 +285,7 @@ def verify_cross(bound_exp: int, *, max_generation: int | None = None) -> list[V
     automaton recovered from the minimized step-difference representation
     must be isomorphic to the letter automaton.
     """
+    require_stage(bound_exp + 1, max_generation)  # the stage hc_prefix reads, before 4**bound_exp
     count = 4 ** bound_exp
     word = hc_prefix(count, max_generation=max_generation)
     points = walk(word[: count - 1])

@@ -1,9 +1,12 @@
 """The command line interface: outputs, files, exit codes."""
 
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
+from hilbertrep import cli
 from hilbertrep.bitmap import parse_pbm
 from hilbertrep.cli import main
 from hilbertrep.sync import hilbert_sync, sync_to_text
@@ -29,6 +32,15 @@ def test_coords_methods_agree(capsys):
         assert out == "3 2\n"
     assert run(capsys, "coords", "0")[1] == "0 0\n"
     assert run(capsys, "coords", "12", "--method", "linrep")[1] == "1 3\n"
+
+
+def test_coords_dfao_at_large_index(capsys):
+    """The letter DFAO's step sums answer a 22-digit index at once, as sync does."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "coords", "9999999999999", "--method", "dfao")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, run(capsys, "coords", "9999999999999", "--method", "sync")[1])
+    assert out == "3319232 2492863\n"
 
 
 def test_locate(capsys):
@@ -129,6 +141,21 @@ def test_verify_gen_bound_budget_exit_3(capsys, monkeypatch):
     assert "budget of stage 3" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("render", "13", "-o", "unused.pbm"),
+    ("coords", str(4**13), "--method", "oracle"),
+    ("verify", "--gen-bound", "12"),
+    ("verify", "--digit-bound", "13"),
+    ("verify", "--cross-bound", "100000"),  # refused before 4**100000 is computed
+])
+def test_budget_errors_exit_3_with_one_line(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget of stage 12" in err
+
+
 def test_export_import_round_trip(capsys, tmp_path):
     for kind in ("dfao", "linrep", "steprep", "sync"):
         path = tmp_path / f"machine.{kind}"
@@ -161,3 +188,79 @@ def test_bench_reports_both_methods(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_unexpected_exception_exits_2_with_one_line(capsys, monkeypatch):
+    def broken(args):
+        return 1 // 0
+
+    monkeypatch.setitem(cli._COMMANDS, "dir", broken)
+    assert run(capsys, "dir", "3") == (2, "", "error: integer division or modulo by zero\n")
+
+
+_NUMBER = st.one_of(
+    st.integers(-3, 70),
+    st.integers(-10**40, 10**40),
+    st.sampled_from(["", "x", "1.5", "0x10", "1e3", "\u0663", "--"]),
+).map(str)
+_BOUND = st.one_of(st.sampled_from("012"), _NUMBER)  # 0 ... 2 are within a budget of 3
+_KIND = st.sampled_from(["dfao", "linrep", "steprep", "sync", "nope"])
+# files in the working directory (see cli_files); outputs go only to the last two
+_PATH = st.sampled_from(["good.sync", "broken.sync", "missing.sync", "out.txt", "."])
+_OUT = st.sampled_from(["out.txt", "."])
+
+
+def _maybe(option: str, value=st.just(None)):
+    return st.one_of(st.just([]), value.map(lambda v: [option, v]))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(list(cli._COMMANDS) + ["nonsense", "--help"]))
+    parts = {
+        "dir": [_NUMBER.map(lambda n: [n]), _maybe("--base4")],
+        "coords": [_NUMBER.map(lambda n: [n]), _maybe("--base4"),
+                   _maybe("--method", st.sampled_from(["oracle", "dfao", "linrep", "sync", "x"]))],
+        "locate": [st.lists(_NUMBER, max_size=3)],
+        "render": [_NUMBER.map(lambda g: [g]), _maybe("-o", _OUT)],
+        "verify": [_BOUND.map(lambda b: ["--gen-bound", b]),
+                   _BOUND.map(lambda b: ["--digit-bound", b]),
+                   _BOUND.map(lambda b: ["--cross-bound", b]),
+                   _maybe("--sync-file", _PATH)],
+        "export": [_KIND.map(lambda k: [k]), _maybe("-o", _OUT)],
+        "import": [_KIND.map(lambda k: [k]), _PATH.map(lambda p: [p]), _maybe("-o", _OUT)],
+        "bench": [_maybe("--queries", st.integers(-2, 5).map(str))],  # more queries only take longer
+    }.get(command, [])
+    argv = [command]
+    for part in parts:
+        argv.extend(token for token in draw(part) if token is not None)
+    if draw(st.integers(0, 3)) == 0:  # a stray token anywhere
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.one_of(_NUMBER, _KIND, _PATH)))
+    return argv
+
+
+@pytest.fixture
+def cli_files(tmp_path, monkeypatch):
+    """A working directory with the exported machine and a corrupted one, under a budget of 3."""
+    (tmp_path / "good.sync").write_text(sync_to_text(hilbert_sync()))
+    (tmp_path / "broken.sync").write_text((DATA / "fault_table.sync").read_text())
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HILBERT_BUDGET", "3")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+@example(argv=["verify", "--gen-bound", "2", "--digit-bound", "2", "--cross-bound", "2",
+               "--sync-file", "broken.sync"])
+def test_cli_never_shows_a_traceback(capsys, cli_files, argv):
+    """Any argv ends in a documented exit code; errors print lines, never a traceback."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 1:
+        assert argv[0] == "verify"
+    if code == 3:
+        assert "budget of stage 3" in err and err.count("\n") == 1

@@ -3,7 +3,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hilbertrep.oracle import generate_generation, walk
 from hilbertrep.sync import (
@@ -83,16 +82,6 @@ def test_exactly_one_pair_accepted_small_scale():
 def test_padding_loop_and_invariance():
     m = hilbert_sync()
     assert m.transitions[(0, (0, 0, 0))] == 0
-
-
-@settings(max_examples=300)
-@given(st.integers(min_value=0, max_value=4**5 - 1),
-       st.integers(min_value=0, max_value=31),
-       st.integers(min_value=0, max_value=31),
-       st.integers(min_value=1, max_value=3))
-def test_padding_never_changes_acceptance(n, x, y, extra):
-    m = hilbert_sync()
-    assert accepts(m, n, x, y, length=5 + extra) == accepts(m, n, x, y)
 
 
 def _without(machine, *keys):

@@ -56,6 +56,24 @@ def test_sync_suite_catches_a_corrupted_machine():
     assert by_name["coords_defined"].counterexample is not None
 
 
+def _with_transition(key, target):
+    m = hilbert_sync()
+    return SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
+                         accepting=m.accepting, transitions={**m.transitions, key: target})
+
+
+def test_zero_padding_failure_is_exact():
+    """The initial state leaving on (0,0,0) fails zero_padding alone, witnessed by that triple."""
+    reports = verify_sync_suite(3, machine=_with_transition((0, (0, 0, 0)), 3))
+    assert [(r.name, r.counterexample) for r in reports if not r.passed] == [("zero_padding", (0, 0, 0))]
+
+
+def test_grid_collision_witness():
+    """Two indices landing on one grid point are named, earlier index first."""
+    by_name = {r.name: r for r in verify_sync_suite(3, machine=_with_transition((1, (0, 0, 0)), 4))}
+    assert by_name["grid_unique"].counterexample == (16, 56)
+
+
 def test_cross_checks_pass_at_small_bound():
     reports = verify_cross(3)
     assert [r.name for r in reports] == [
