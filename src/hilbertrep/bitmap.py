@@ -36,10 +36,10 @@ class Bitmap:
             raise ValueError("bit grid does not match width x height")
 
 
-def _check_stage(g: int, max_generation: int | None) -> None:
+def _check_stage(g: int) -> None:
     if g < 1:
         raise ValueError(f"stage index must be at least 1, got {g}")
-    require_stage(g, max_generation)
+    require_stage(g)
 
 
 def _draw(g: int, points) -> Bitmap:
@@ -53,21 +53,21 @@ def _draw(g: int, points) -> Bitmap:
     return Bitmap(width=side, height=side, bits=tuple(tuple(row) for row in grid))
 
 
-def render_generation(g: int, *, max_generation: int | None = None) -> Bitmap:
+def render_generation(g: int) -> Bitmap:
     """Render stage g from the synchronized automaton's coordinate table.
 
     ``sync_walk`` reads the coordinates of the indices below 4**g in
     index order, one pass over the parity table with shared prefixes read
     once; the image is drawn from that walk.
     """
-    _check_stage(g, max_generation)
+    _check_stage(g)
     return _draw(g, sync_walk(hilbert_sync(), g))
 
 
-def render_from_walk(g: int, *, max_generation: int | None = None) -> Bitmap:
+def render_from_walk(g: int) -> Bitmap:
     """Render stage g from the walked stage word; the independent route."""
-    _check_stage(g, max_generation)
-    return _draw(g, walk(generate_generation(g, max_generation=max_generation)))
+    _check_stage(g)
+    return _draw(g, walk(generate_generation(g)))
 
 
 def count_lit(bitmap: Bitmap) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from .oracle import STEP, Direction
-from .textfmt import ParseError, content_lines, header_fields, parse_int
+from .textfmt import ParseError, parse_arc, parse_index, parse_int, read_text, require_all
 
 
 def require_base(k: int) -> None:
@@ -213,28 +213,19 @@ def dfao_to_text(machine: Dfao) -> str:
 
 def dfao_from_text(text: str) -> Dfao:
     """Parse the text form; raises ParseError with the offending line number."""
-    lines = content_lines(text)
-    if not lines:
-        raise ParseError(0, "empty automaton file")
-    lineno, header = lines[0]
-    fields = header_fields(header, "dfao", lineno)
-    for key in ("base", "states", "initial"):
-        if key not in fields:
-            raise ParseError(lineno, f"missing header field {key!r}")
-    base = parse_int(fields["base"], lineno, "base")
-    count = parse_int(fields["states"], lineno, "state count")
-    initial = parse_int(fields["initial"], lineno, "initial state")
+    header_line, fields, body = read_text(text, "dfao", ("base", "states", "initial"))
+    base = parse_int(fields["base"], header_line, "base")
+    count = parse_int(fields["states"], header_line, "state count")
+    initial = parse_int(fields["initial"], header_line, "initial state")
 
     outputs: dict[int, Direction] = {}
     table: dict[tuple[int, int], int] = {}
-    for lineno, line in lines[1:]:
+    for lineno, line in body:
         tokens = line.split()
         if tokens[0] == "state":
             if len(tokens) != 3 or not tokens[2].startswith("output="):
                 raise ParseError(lineno, f"malformed state line {line!r}")
-            q = parse_int(tokens[1], lineno, "state id")
-            if not 0 <= q < count:
-                raise ParseError(lineno, f"state {q} out of range")
+            q = parse_index(tokens[1], lineno, "state", count)
             if q in outputs:
                 raise ParseError(lineno, f"duplicate output for state {q}")
             name = tokens[2].removeprefix("output=")
@@ -242,27 +233,15 @@ def dfao_from_text(text: str) -> Dfao:
                 outputs[q] = Direction[name]
             except KeyError:
                 raise ParseError(lineno, f"unknown output letter {name!r}") from None
-        elif len(tokens) == 4 and tokens[2] == "->":
-            q = parse_int(tokens[0], lineno, "state id")
-            digit = parse_int(tokens[1], lineno, "digit")
-            target = parse_int(tokens[3], lineno, "target state")
-            if not 0 <= q < count or not 0 <= target < count:
-                raise ParseError(lineno, f"state out of range in {line!r}")
-            if not 0 <= digit < base:
-                raise ParseError(lineno, f"digit {digit} out of range for base {base}")
+        else:
+            q, symbol, target = parse_arc(line, lineno, count)
+            digit = parse_index(symbol, lineno, "digit", base)
             if (q, digit) in table:
                 raise ParseError(lineno, f"duplicate transition ({q}, {digit})")
             table[(q, digit)] = target
-        else:
-            raise ParseError(lineno, f"unrecognized line {line!r}")
 
-    last = lines[-1][0]
-    missing_out = [q for q in range(count) if q not in outputs]
-    if missing_out:
-        raise ParseError(last, f"missing output for states {missing_out}")
-    missing = [(q, d) for q in range(count) for d in range(base) if (q, d) not in table]
-    if missing:
-        raise ParseError(last, f"missing transitions {missing[:4]}")
+    require_all(range(count), outputs, header_line, "output for states")
+    require_all(((q, d) for q in range(count) for d in range(base)), table, header_line, "transitions")
     transitions = tuple(tuple(table[(q, d)] for d in range(base)) for q in range(count))
     return Dfao(base=base, transitions=transitions,
                 outputs=tuple(outputs[q] for q in range(count)), initial=initial)

@@ -26,11 +26,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain
 
 from .dfao import Dfao, require_base, to_base
 from .oracle import STEP
 from .ratmat import SpanBasis, identity, mat_mul, mat_vec, matrix, transpose, vec_mat, vector
-from .textfmt import ParseError, content_lines, format_scalar, header_fields, parse_int, parse_scalar
+from .textfmt import ParseError, format_scalar, parse_index, parse_int, parse_scalar, read_text, require_all
 
 
 class NonFunctionalTransducerError(ValueError):
@@ -413,16 +414,17 @@ def minimize_rep(rep: LinearRep) -> LinearRep:
 
 
 _STEP_TO_DIRECTION = {vec: direction for direction, vec in STEP.items()}
+_STATE_BUDGET = 512  # distinct state matrices semigroup_trick explores before giving up
 
 
-def semigroup_trick(rep: LinearRep, *, state_budget: int = 512) -> Dfao:
+def semigroup_trick(rep: LinearRep) -> Dfao:
     """Recover a finite automaton from a representation by matrix closure.
 
     States are the distinct matrices v . gamma(digits); the transition on
     digit a right-multiplies by gamma(a), and a state's output is the
     direction whose unit step equals state . w (the raw vector when it is
     not a unit step).  Exploration is breadth-first in digit order, so the
-    state numbering is deterministic.  Exceeding ``state_budget`` raises
+    state numbering is deterministic.  Exceeding ``_STATE_BUDGET`` raises
     StateBudgetExceededError, the signal that the row space is not finite.
     """
     start = rep.v
@@ -436,9 +438,9 @@ def semigroup_trick(rep: LinearRep, *, state_budget: int = 512) -> Dfao:
         for a in range(rep.base):
             succ = mat_mul(state_matrix, rep.gamma[a])
             if succ not in index:
-                if len(order) >= state_budget:
+                if len(order) >= _STATE_BUDGET:
                     raise StateBudgetExceededError(
-                        f"more than {state_budget} distinct state matrices"
+                        f"more than {_STATE_BUDGET} distinct state matrices"
                     )
                 index[succ] = len(order)
                 order.append(succ)
@@ -539,59 +541,40 @@ def linrep_to_text(rep: LinearRep) -> str:
 
 def linrep_from_text(text: str) -> LinearRep:
     """Parse the text form; raises ParseError with the offending line number."""
-    lines = content_lines(text)
-    if not lines:
-        raise ParseError(0, "empty representation file")
-    lineno, header = lines[0]
-    fields = header_fields(header, "linrep", lineno)
-    for key in ("base", "out", "rank"):
-        if key not in fields:
-            raise ParseError(lineno, f"missing header field {key!r}")
-    base = parse_int(fields["base"], lineno, "base")
-    out_dim = parse_int(fields["out"], lineno, "output dimension")
-    rank = parse_int(fields["rank"], lineno, "rank")
+    header_line, fields, body = read_text(text, "linrep", ("base", "out", "rank"))
+    base = parse_int(fields["base"], header_line, "base")
+    out_dim = parse_int(fields["out"], header_line, "output dimension")
+    rank = parse_int(fields["rank"], header_line, "rank")
 
+    shapes = {"v": (out_dim, rank), "gamma": (rank, rank), "w": (rank, 1)}  # (rows, width) by kind
     sections: dict[str, list] = {}
     current: str | None = None
-    expected = {"v": (out_dim, rank)}
-    for d in range(base):
-        expected[f"gamma {d}"] = (rank, rank)
-    expected["w"] = (rank, 1)
-    for lineno, line in lines[1:]:
+    for lineno, line in body:
         tokens = line.split()
-        label = None
-        if tokens[0] == "v" and len(tokens) == 1:
-            label = "v"
-        elif tokens[0] == "w" and len(tokens) == 1:
-            label = "w"
-        elif tokens[0] == "gamma" and len(tokens) == 2:
-            label = f"gamma {parse_int(tokens[1], lineno, 'digit')}"
+        label = tokens[0] if tokens in (["v"], ["w"]) else None
+        if tokens[0] == "gamma" and len(tokens) == 2:
+            label = f"gamma {parse_index(tokens[1], lineno, 'digit', base)}"
         if label is not None:
-            if label not in expected:
-                raise ParseError(lineno, f"unexpected section {label!r}")
             if label in sections:
                 raise ParseError(lineno, f"duplicate section {label!r}")
-            sections[label] = []
+            rows_needed, width = shapes[tokens[0]]
+            sections[label] = [()] * rows_needed if width == 0 else []  # zero-width rows have no line
             current = label
             continue
         if current is None:
             raise ParseError(lineno, f"value line {line!r} before any section")
         row = [parse_scalar(token, lineno) for token in tokens]
-        rows_needed, width = expected[current]
         if len(row) != width:
             raise ParseError(lineno, f"expected {width} values in section {current!r}, got {len(row)}")
         if len(sections[current]) >= rows_needed:
             raise ParseError(lineno, f"too many rows in section {current!r}")
         sections[current].append(tuple(row))
 
-    last = lines[-1][0]
-    for label, (rows_needed, width) in expected.items():
-        if label not in sections:
-            raise ParseError(last, f"missing section {label!r}")
-        if width == 0:  # zero-width rows have no line of their own
-            sections[label] = [()] * rows_needed
-        if len(sections[label]) != rows_needed:
-            raise ParseError(last, f"section {label!r} has {len(sections[label])} rows, expected {rows_needed}")
+    require_all(chain(["v"], (f"gamma {d}" for d in range(base)), ["w"]), sections, header_line, "sections")
+    for label, rows in sections.items():
+        rows_needed, _ = shapes[label.split()[0]]
+        if len(rows) != rows_needed:
+            raise ParseError(header_line, f"section {label!r} has {len(rows)} rows, expected {rows_needed}")
     gamma = tuple(tuple(sections[f"gamma {d}"]) for d in range(base))
     w = tuple(row[0] for row in sections["w"])
     return LinearRep(base=base, v=tuple(sections["v"]), gamma=gamma, w=w)

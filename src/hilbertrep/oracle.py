@@ -9,13 +9,14 @@ synchronized automaton, the bitmap renderer) is tested against the
 functions in this module.
 
 Words are stored as ``bytes`` of the numeric codings 0..3; the textual
-U/R/D/L form appears only at I/O boundaries.  All functions are pure and
-all values immutable, so concurrent callers need no coordination.
+U/R/D/L form appears only at I/O boundaries.  All values are immutable and
+all functions pure, except that ``require_stage`` reads HILBERT_BUDGET.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 from typing import Iterable, NamedTuple
 
 DEFAULT_MAX_GENERATION = 12  # 4**12 - 1 letters, about 16.7M bytes
@@ -83,14 +84,18 @@ def recode(coding: Coding, letter: Direction) -> Direction:
     return Direction(_CODING_TABLES[coding][letter])
 
 
-def require_stage(n: int, max_generation: int | None = None) -> None:
-    """The one stage-budget check: raise GenerationBudgetError if n exceeds the budget."""
-    budget = DEFAULT_MAX_GENERATION if max_generation is None else max_generation
+def require_stage(n: int) -> None:
+    """The one stage-budget check: raise GenerationBudgetError if n exceeds the budget.
+
+    The budget is ``HILBERT_BUDGET`` if set and not empty, else DEFAULT_MAX_GENERATION.
+    """
+    value = os.environ.get("HILBERT_BUDGET")
+    budget = int(value) if value else DEFAULT_MAX_GENERATION
     if n > budget:
         raise GenerationBudgetError(f"stage {n} is beyond the budget of stage {budget}")
 
 
-def generate_generation(n: int, *, max_generation: int | None = None) -> bytes:
+def generate_generation(n: int) -> bytes:
     """Return stage n of the curve, a word of length 4**n - 1.
 
     Stage 0 is the empty word.  Stage n+1 consists of stage n, a joining
@@ -98,12 +103,12 @@ def generate_generation(n: int, *, max_generation: int | None = None) -> bytes:
     rotated copy; the joining moves alternate between (U, R, D) and
     (R, U, L) with the parity of n.
 
-    Raises GenerationBudgetError when n exceeds ``max_generation``
+    Raises GenerationBudgetError when n exceeds the stage budget
     (see require_stage), ValueError when n is negative.
     """
     if n < 0:
         raise ValueError(f"stage index must be non-negative, got {n}")
-    require_stage(n, max_generation)
+    require_stage(n)
     word = b""
     for stage in range(n):
         joins = _JOINS_FROM_EVEN if stage % 2 == 0 else _JOINS_FROM_ODD
@@ -116,7 +121,7 @@ def generate_generation(n: int, *, max_generation: int | None = None) -> bytes:
     return word
 
 
-def hc_prefix(length: int, *, max_generation: int | None = None) -> bytes:
+def hc_prefix(length: int) -> bytes:
     """First ``length`` letters of the infinite curve word.
 
     Computed by expanding the smallest stage of at least that length and
@@ -125,7 +130,7 @@ def hc_prefix(length: int, *, max_generation: int | None = None) -> bytes:
     if length < 0:
         raise ValueError(f"prefix length must be non-negative, got {length}")
     n = (length.bit_length() + 1) // 2  # the smallest n with 4**n - 1 >= length
-    return generate_generation(n, max_generation=max_generation)[:length]
+    return generate_generation(n)[:length]
 
 
 def walk(word: Iterable[int]) -> list[Point]:

@@ -32,7 +32,7 @@ from typing import Mapping, NamedTuple
 
 from .dfao import from_base, require_base, to_base
 from .oracle import Point
-from .textfmt import ParseError, content_lines, header_fields, parse_int
+from .textfmt import ParseError, parse_arc, parse_index, parse_int, read_text
 
 Triple = tuple[int, int, int]
 
@@ -424,14 +424,7 @@ def sync_to_text(machine: SyncAutomaton) -> str:
 
 def sync_from_text(text: str) -> SyncAutomaton:
     """Parse the text form; raises ParseError with the offending line number."""
-    lines = content_lines(text)
-    if not lines:
-        raise ParseError(0, "empty automaton file")
-    lineno, header = lines[0]
-    fields = header_fields(header, "sync", lineno)
-    for key in ("bases", "states", "initial", "accepting"):
-        if key not in fields:
-            raise ParseError(lineno, f"missing header field {key!r}")
+    lineno, fields, body = read_text(text, "sync", ("bases", "states", "initial", "accepting"))
     bases = tuple(parse_int(tok, lineno, "base") for tok in fields["bases"].split(","))
     if len(bases) != 3:
         raise ParseError(lineno, f"expected three bases, got {fields['bases']!r}")
@@ -442,23 +435,12 @@ def sync_from_text(text: str) -> SyncAutomaton:
     )
 
     transitions: dict[tuple[int, Triple], int] = {}
-    for lineno, line in lines[1:]:
-        tokens = line.split()
-        if len(tokens) != 4 or tokens[2] != "->":
-            raise ParseError(lineno, f"unrecognized line {line!r}")
-        q = parse_int(tokens[0], lineno, "state id")
-        raw = tokens[1]
-        if not (raw.startswith("[") and raw.endswith("]")):
-            raise ParseError(lineno, f"malformed digit triple {raw!r}")
+    for lineno, line in body:
+        q, raw, target = parse_arc(line, lineno, count)
         parts = raw[1:-1].split(",")
-        if len(parts) != 3:
+        if not (raw.startswith("[") and raw.endswith("]")) or len(parts) != 3:
             raise ParseError(lineno, f"malformed digit triple {raw!r}")
-        triple = tuple(parse_int(tok, lineno, "digit") for tok in parts)
-        target = parse_int(tokens[3], lineno, "target state")
-        if not (0 <= q < count and 0 <= target < count):
-            raise ParseError(lineno, f"state out of range in {line!r}")
-        if any(not 0 <= d < base for d, base in zip(triple, bases)):
-            raise ParseError(lineno, f"digit triple {triple} out of range for bases {bases}")
+        triple = tuple(parse_index(tok, lineno, "digit", base) for tok, base in zip(parts, bases))
         if (q, triple) in transitions:
             raise ParseError(lineno, f"duplicate transition ({q}, {list(triple)})")
         transitions[(q, triple)] = target

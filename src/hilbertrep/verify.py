@@ -163,8 +163,7 @@ def _round_trip_witness(machine: SyncAutomaton, t: int, pairs, walkable: bool):
     return next(((n,) for n, pair in enumerate(pairs) if pair is not None and back(pair) != n), None)
 
 
-def verify_identities(max_gen: int, *, machine: Dfao | None = None,
-                      max_generation: int | None = None) -> list[VerifyReport]:
+def verify_identities(max_gen: int, *, machine: Dfao | None = None) -> list[VerifyReport]:
     """Check the letter identities that characterize the curve word.
 
     The machine's letters are checked, for every n up to ``max_gen`` with
@@ -174,9 +173,9 @@ def verify_identities(max_gen: int, *, machine: Dfao | None = None,
     3x..4x-2 are the half-turn recoding of letters 0..x-2; and letter
     x-1 is R for odd n and U for even n.  The letters read, 4**(max_gen+1) - 1
     of them, are those of stage max_gen + 1, so that stage must be within
-    the stage budget (``max_generation``, see ``require_stage``).
+    the stage budget (see ``require_stage``).
     """
-    require_stage(max_gen + 1, max_generation)
+    require_stage(max_gen + 1)
     m = hilbert_dfao() if machine is None else machine
     letters = _letters_below(m, 4 ** (max_gen + 1) - 1)
 
@@ -210,8 +209,7 @@ def verify_identities(max_gen: int, *, machine: Dfao | None = None,
     return sorted(reports, key=lambda r: r.name)
 
 
-def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None,
-                      max_generation: int | None = None) -> list[VerifyReport]:
+def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None) -> list[VerifyReport]:
     """Check the synchronized automaton's function and space-filling claims.
 
     Over all n < 4**t: exactly one coordinate pair is accepted, it matches
@@ -227,7 +225,7 @@ def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None,
     also what finds the first undefined and the first ambiguous index.
     """
     m = hilbert_sync() if machine is None else machine
-    points = walk(generate_generation(t, max_generation=max_generation))  # budget check before 4**t
+    points = walk(generate_generation(t))  # budget check before 4**t
     count = 4 ** t
     # only for these bases do the walks cover exactly n < 4**t and the 2**t x 2**t grid
     walkable = m.bases == (4, 2, 2)
@@ -275,7 +273,7 @@ def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None,
     return sorted(reports, key=lambda r: r.name)
 
 
-def verify_cross(bound_exp: int, *, max_generation: int | None = None) -> list[VerifyReport]:
+def verify_cross(bound_exp: int) -> list[VerifyReport]:
     """Cross-check all representations against the walked curve.
 
     For every n below 4**bound_exp the walked coordinates, the linear
@@ -285,9 +283,9 @@ def verify_cross(bound_exp: int, *, max_generation: int | None = None) -> list[V
     automaton recovered from the minimized step-difference representation
     must be isomorphic to the letter automaton.
     """
-    require_stage(bound_exp + 1, max_generation)  # the stage hc_prefix reads, before 4**bound_exp
+    require_stage(bound_exp + 1)  # the stage hc_prefix reads, before 4**bound_exp
     count = 4 ** bound_exp
-    word = hc_prefix(count, max_generation=max_generation)
+    word = hc_prefix(count)
     points = walk(word[: count - 1])
     rep = hilbert_linrep()
     machine = hilbert_sync()

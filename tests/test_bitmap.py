@@ -76,10 +76,11 @@ def test_pbm_parse_rejects_garbage():
         parse_pbm(b"P1\n2 2\n1 0 1\n")
 
 
-def test_stage_bounds():
+def test_stage_bounds(monkeypatch):
     with pytest.raises(ValueError):
         render_generation(0)
     with pytest.raises(GenerationBudgetError):
         render_generation(13)
+    monkeypatch.setenv("HILBERT_BUDGET", "3")
     with pytest.raises(GenerationBudgetError):
-        render_from_walk(4, max_generation=3)
+        render_from_walk(4)

@@ -1,5 +1,8 @@
 """The command line interface: outputs, files, exit codes."""
 
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -156,6 +159,14 @@ def test_budget_errors_exit_3_with_one_line(capsys, monkeypatch, tmp_path, argv)
     assert "budget of stage 12" in err
 
 
+def test_malformed_budget_fails_only_commands_that_build_a_stage(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HILBERT_BUDGET", "x")
+    code, out, err = run(capsys, "render", "2", "-o", "out.pbm")
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert run(capsys, "dir", "5") == (0, "U 0\n", "")
+
+
 def test_export_import_round_trip(capsys, tmp_path):
     for kind in ("dfao", "linrep", "steprep", "sync"):
         path = tmp_path / f"machine.{kind}"
@@ -174,6 +185,36 @@ def test_import_reports_parse_error_with_line(capsys, tmp_path):
     assert "line" in err
     path.write_text("linrep base=1 out=1 rank=1\nv\n1\ngamma 0\n1\nw\n1\n")
     assert run(capsys, "import", "linrep", str(path)) == (2, "", "error: base must be at least 2, got 1\n")
+
+
+# header-only files declaring far more entries than any file could list
+_HUGE_FILES = {
+    "huge.dfao": f"dfao base=4 states={10**40} initial=0\n",
+    "huge.linrep": f"linrep base={10**40} out=1 rank=1\n",
+}
+
+# main() in a child capped at 1 GiB of address space: a parser that allocates by
+# the header fails there, not in the test process
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from hilbertrep.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("name, missing", [
+    ("huge.dfao", "output for states [0, 1, 2, 3]"),
+    ("huge.linrep", "sections ['v', 'gamma 0', 'gamma 1', 'gamma 2']"),
+])
+def test_import_of_a_header_only_file_names_the_first_four_missing(tmp_path, name, missing):
+    path = tmp_path / name
+    path.write_text(_HUGE_FILES[name])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, "import", path.suffix[1:], str(path)],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: line 1: missing {missing}\n"
 
 
 def test_bench_reports_both_methods(capsys):
@@ -197,6 +238,12 @@ def test_unexpected_exception_exits_2_with_one_line(capsys, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "dir", broken)
     assert run(capsys, "dir", "3") == (2, "", "error: integer division or modulo by zero\n")
 
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._COMMANDS, "dir", out_of_memory)
+    assert run(capsys, "dir", "3") == (2, "", "error: MemoryError\n")
+
 
 _NUMBER = st.one_of(
     st.integers(-3, 70),
@@ -206,7 +253,7 @@ _NUMBER = st.one_of(
 _BOUND = st.one_of(st.sampled_from("012"), _NUMBER)  # 0 ... 2 are within a budget of 3
 _KIND = st.sampled_from(["dfao", "linrep", "steprep", "sync", "nope"])
 # files in the working directory (see cli_files); outputs go only to the last two
-_PATH = st.sampled_from(["good.sync", "broken.sync", "missing.sync", "out.txt", "."])
+_PATH = st.sampled_from(["good.sync", "broken.sync", *_HUGE_FILES, "missing.sync", "out.txt", "."])
 _OUT = st.sampled_from(["out.txt", "."])
 
 
@@ -241,9 +288,12 @@ def _argv(draw):
 
 @pytest.fixture
 def cli_files(tmp_path, monkeypatch):
-    """A working directory with the exported machine and a corrupted one, under a budget of 3."""
+    """A working directory with the exported machine, a corrupted one and the header-only
+    files, under a budget of 3."""
     (tmp_path / "good.sync").write_text(sync_to_text(hilbert_sync()))
     (tmp_path / "broken.sync").write_text((DATA / "fault_table.sync").read_text())
+    for name, text in _HUGE_FILES.items():
+        (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("HILBERT_BUDGET", "3")
 

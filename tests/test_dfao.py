@@ -172,5 +172,8 @@ def test_parse_errors_carry_line_numbers():
         dfao_from_text("\n".join(text.splitlines()[:-1]) + "\n")
     with pytest.raises(ParseError):
         dfao_from_text("")
+    # a header declaring more states than the file lists: only the first four are named
+    with pytest.raises(ParseError, match=r"^line 1: missing output for states \[0, 1, 2, 3\]$"):
+        dfao_from_text("dfao base=4 states=1000 initial=0\n")
     with pytest.raises(ValueError, match="base must be at least 2, got 1"):
         dfao_from_text("dfao base=1 states=1 initial=0\nstate 0 output=U\n0 0 -> 0\n")

@@ -301,8 +301,6 @@ def test_matrix_closure_of_zero_rep():
 def test_matrix_closure_budget():
     """The coordinate sequence is unbounded, so its row space never closes."""
     with pytest.raises(StateBudgetExceededError):
-        semigroup_trick(hilbert_linrep(), state_budget=64)
-    with pytest.raises(StateBudgetExceededError):
         semigroup_trick(hilbert_linrep())
 
 
@@ -361,6 +359,8 @@ def test_text_parse_errors():
         linrep_from_text(text.replace("gamma 3", "gamma 7"))
     with pytest.raises(ParseError):
         linrep_from_text("\n".join(text.splitlines()[:-1]) + "\n")
+    with pytest.raises(ParseError, match=r"^line 1: missing sections \['v', 'gamma 0', 'gamma 1', 'gamma 2'\]$"):
+        linrep_from_text("linrep base=1000 out=1 rank=1\n")
     one_digit = "linrep base=1 out=1 rank=1\nv\n1\ngamma 0\n1\nw\n1\n"
     with pytest.raises(ValueError, match="base must be at least 2, got 1"):
         linrep_from_text(one_digit)

@@ -117,14 +117,16 @@ def test_prefix_examples():
     assert hc_prefix(15) == generate_generation(2)
 
 
-def test_stage_budget():
+def test_stage_budget(monkeypatch):
     with pytest.raises(GenerationBudgetError):
         generate_generation(13)
+    monkeypatch.setenv("HILBERT_BUDGET", "2")
     with pytest.raises(GenerationBudgetError):
-        generate_generation(3, max_generation=2)
+        generate_generation(3)
     with pytest.raises(GenerationBudgetError):
-        hc_prefix(100, max_generation=2)
-    assert len(generate_generation(3, max_generation=3)) == 63
+        hc_prefix(100)
+    monkeypatch.setenv("HILBERT_BUDGET", "3")
+    assert len(generate_generation(3)) == 63
     with pytest.raises(ValueError):
         generate_generation(-1)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from hilbertrep.dfao import Dfao, hilbert_dfao
-from hilbertrep.oracle import Direction
+from hilbertrep.oracle import Direction, GenerationBudgetError
 from hilbertrep.sync import SyncAutomaton, hilbert_sync
 from hilbertrep.verify import (
     VerifyReport,
@@ -80,6 +80,14 @@ def test_cross_checks_pass_at_small_bound():
         "coordinates_agree", "difference_automaton_matches", "letters_agree",
     ]
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("suite", [verify_identities, verify_sync_suite, verify_cross])
+def test_suites_obey_the_budget_variable(monkeypatch, suite):
+    """The budget is checked before any 4**bound work, whoever calls the suite."""
+    monkeypatch.setenv("HILBERT_BUDGET", "3")
+    with pytest.raises(GenerationBudgetError, match="budget of stage 3$"):
+        suite(10**6)
 
 
 def test_report_invariant():
