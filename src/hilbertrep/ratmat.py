@@ -3,13 +3,16 @@
 Matrices are tuples of row tuples.  Entries are Python ints, or Fractions
 when a value is genuinely non-integral; keeping integral values as ints
 makes the common all-integer case fast while every operation stays exact.
-Dimensions in this package never exceed a few dozen, so nothing here is
-tuned beyond that scale.
+``SpanBasis`` eliminates over the integers alone: an entering vector is
+scaled to integers by the lcm of its denominators, and Fractions are
+formed only for the coordinates it returns.  Dimensions in this package
+never exceed a few dozen, so nothing here is tuned beyond that scale.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 Scalar = int | Fraction
@@ -17,7 +20,7 @@ Scalar = int | Fraction
 
 def norm_scalar(value):
     """Collapse an integral Fraction to a plain int."""
-    if isinstance(value, Fraction) and value.denominator == 1:
+    if type(value) is not int and isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
     return value
 
@@ -62,46 +65,57 @@ class SpanBasis:
 
     Vectors admitted as basis elements are kept verbatim in ``vectors``;
     ``coordinates`` expresses any in-span vector as a combination of those
-    admitted vectors.  Elimination uses the first nonzero position of each
-    reduced vector as its pivot.
+    admitted vectors.  Elimination is fraction-free (Bareiss 1968): each
+    echelon row, pivoting on its first nonzero position, and its
+    combination over ``vectors`` are together one primitive integer row.
+    An entering vector is scaled by the lcm of its denominators and
+    reduced by cross-multiplying with each echelon row, tracking one
+    integer ``scale`` with scale * vec == residual + acc . vectors.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.vectors: list[tuple] = []
-        self._rows: list[tuple[int, tuple, tuple]] = []  # (pivot, echelon vector, combination)
+        self._rows: list[tuple[int, list[int], list[int]]] = []  # (pivot, echelon row, combination)
 
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def _eliminate(self, vec):
-        residual = list(vec)
+    def _eliminate(self, vec) -> tuple[list[int], list[int], int]:
+        if len(vec) != self.dim:
+            raise ValueError(f"expected a vector of length {self.dim}, got {len(vec)}")
+        scale = lcm(*(v.denominator for v in vec))
+        residual = [v.numerator * (scale // v.denominator) for v in vec]
         acc = [0] * len(self.vectors)
         for pivot, echelon, comb in self._rows:
             lead = residual[pivot]
             if lead == 0:
                 continue
-            factor = Fraction(lead) / echelon[pivot]
-            for i, e in enumerate(echelon):
-                residual[i] -= factor * e
+            p = echelon[pivot]
+            g = gcd(p, lead)
+            p, lead = p // g, lead // g
+            residual = [p * r - lead * e for r, e in zip(residual, echelon)]
+            acc = [p * a for a in acc]
             for i, c in enumerate(comb):
-                acc[i] += factor * c
-        return residual, acc
+                acc[i] += lead * c
+            scale *= p
+        return residual, acc, scale
 
     def coordinates(self, vec) -> tuple | None:
         """Coordinates of ``vec`` over the admitted vectors, or None if outside."""
-        residual, acc = self._eliminate(vec)
+        residual, acc, scale = self._eliminate(vec)
         if any(residual):
             return None
-        return vector(acc)
+        return vector(Fraction(a, scale) for a in acc)
 
     def add_if_new(self, vec) -> bool:
         """Admit ``vec`` as a basis vector if it extends the span."""
-        residual, acc = self._eliminate(vec)
+        residual, acc, scale = self._eliminate(vec)
         pivot = next((i for i, r in enumerate(residual) if r != 0), None)
         if pivot is None:
             return False
-        comb = vector([-c for c in acc] + [1])
+        comb = [-a for a in acc] + [scale]
+        g = gcd(*residual, *comb)
         self.vectors.append(vector(vec))
-        self._rows.append((pivot, vector(residual), comb))
+        self._rows.append((pivot, [r // g for r in residual], [c // g for c in comb]))
         return True

@@ -32,7 +32,7 @@ from typing import Mapping, NamedTuple
 
 from .dfao import from_base, require_base, to_base
 from .oracle import Point
-from .textfmt import ParseError, parse_arc, parse_index, parse_int, read_text
+from .textfmt import ParseError, parse_arc, parse_index, parse_int, read_text, require_all
 
 Triple = tuple[int, int, int]
 
@@ -424,14 +424,14 @@ def sync_to_text(machine: SyncAutomaton) -> str:
 
 def sync_from_text(text: str) -> SyncAutomaton:
     """Parse the text form; raises ParseError with the offending line number."""
-    lineno, fields, body = read_text(text, "sync", ("bases", "states", "initial", "accepting"))
-    bases = tuple(parse_int(tok, lineno, "base") for tok in fields["bases"].split(","))
+    header_line, fields, body = read_text(text, "sync", ("bases", "states", "initial", "accepting"))
+    bases = tuple(parse_int(tok, header_line, "base") for tok in fields["bases"].split(","))
     if len(bases) != 3:
-        raise ParseError(lineno, f"expected three bases, got {fields['bases']!r}")
-    count = parse_int(fields["states"], lineno, "state count")
-    initial = parse_int(fields["initial"], lineno, "initial state")
+        raise ParseError(header_line, f"expected three bases, got {fields['bases']!r}")
+    count = parse_int(fields["states"], header_line, "state count")
+    initial = parse_int(fields["initial"], header_line, "initial state")
     accepting = frozenset(
-        parse_int(tok, lineno, "accepting state") for tok in fields["accepting"].split(",") if tok
+        parse_int(tok, header_line, "accepting state") for tok in fields["accepting"].split(",") if tok
     )
 
     transitions: dict[tuple[int, Triple], int] = {}
@@ -444,5 +444,7 @@ def sync_from_text(text: str) -> SyncAutomaton:
         if (q, triple) in transitions:
             raise ParseError(lineno, f"duplicate transition ({q}, {list(triple)})")
         transitions[(q, triple)] = target
+    named = {initial, *accepting, *(q for q, _ in transitions), *transitions.values()}
+    require_all(range(count), named, header_line, "states")
     return SyncAutomaton(bases=bases, state_count=count, initial=initial,
                          accepting=accepting, transitions=transitions)

@@ -187,10 +187,11 @@ def test_import_reports_parse_error_with_line(capsys, tmp_path):
     assert run(capsys, "import", "linrep", str(path)) == (2, "", "error: base must be at least 2, got 1\n")
 
 
-# header-only files declaring far more entries than any file could list
+# files whose headers declare far more entries than any file could list
 _HUGE_FILES = {
     "huge.dfao": f"dfao base=4 states={10**40} initial=0\n",
     "huge.linrep": f"linrep base={10**40} out=1 rank=1\n",
+    "huge.sync": "sync bases=4,2,2 states=100000000 initial=0 accepting=0\n0 [0,0,0] -> 0\n",
 }
 
 # main() in a child capped at 1 GiB of address space: a parser that allocates by
@@ -206,6 +207,7 @@ sys.exit(main(sys.argv[1:]))
 @pytest.mark.parametrize("name, missing", [
     ("huge.dfao", "output for states [0, 1, 2, 3]"),
     ("huge.linrep", "sections ['v', 'gamma 0', 'gamma 1', 'gamma 2']"),
+    ("huge.sync", "states [1, 2, 3, 4]"),
 ])
 def test_import_of_a_header_only_file_names_the_first_four_missing(tmp_path, name, missing):
     path = tmp_path / name
@@ -288,8 +290,8 @@ def _argv(draw):
 
 @pytest.fixture
 def cli_files(tmp_path, monkeypatch):
-    """A working directory with the exported machine, a corrupted one and the header-only
-    files, under a budget of 3."""
+    """A working directory with the exported machine, a corrupted one and the files with
+    huge headers, under a budget of 3."""
     (tmp_path / "good.sync").write_text(sync_to_text(hilbert_sync()))
     (tmp_path / "broken.sync").write_text((DATA / "fault_table.sync").read_text())
     for name, text in _HUGE_FILES.items():

@@ -3,11 +3,12 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbertrep.dfao import dfao_equal, from_base, hilbert_dfao, to_base
+from hilbertrep.dfao import dfao_equal, dfao_to_text, from_base, hilbert_dfao, to_base
 from hilbertrep.linrep import (
     GuessedLinearRep,
     InsufficientDataError,
@@ -32,9 +33,10 @@ from hilbertrep.linrep import (
     transducer_outputs,
 )
 from hilbertrep.oracle import generate_generation, walk
-from hilbertrep.ratmat import mat_mul
+from hilbertrep.ratmat import SpanBasis, mat_mul, vector
 from hilbertrep.textfmt import ParseError
 
+DATA = Path(__file__).parent / "data"
 POINTS = walk(generate_generation(6))
 
 
@@ -364,3 +366,135 @@ def test_text_parse_errors():
     one_digit = "linrep base=1 out=1 rank=1\nv\n1\ngamma 0\n1\nw\n1\n"
     with pytest.raises(ValueError, match="base must be at least 2, got 1"):
         linrep_from_text(one_digit)
+
+
+def _construct_results():
+    """Text of what minimize_rep, semigroup_trick and guess_linrep return here, and those objects.
+
+    Each result is a ``# label`` line and the object's text form, or an
+    ``error`` line naming the exception raised on the way.
+    """
+    blocks, objects = [], []
+
+    def record(label, build, to_text):
+        try:
+            obj = build()
+            text = to_text(obj)
+        except Exception as exc:  # the exception is the result to pin
+            text = f"error {type(exc).__name__}: {exc}\n"
+        else:
+            objects.append(obj)
+        blocks.append(f"# {label}\n{text}")
+
+    minimized = {}
+    for name, rep in _equivalence_reps().items():
+        record(f"minimize_rep {name}", lambda: minimized.setdefault(name, minimize_rep(rep)), linrep_to_text)
+    for name, rep in minimized.items():
+        record(f"semigroup_trick {name}", lambda: semigroup_trick(rep), dfao_to_text)
+    prefixes = {"x": [p.x for p in POINTS], "y": [p.y for p in POINTS], "xy": [tuple(p) for p in POINTS]}
+    for axis, prefix in prefixes.items():
+        for depth in (1, 2, 3):
+            record(f"guess_linrep {axis} depth={depth}", lambda: guess_linrep(prefix, 4, depth).rep,
+                   linrep_to_text)
+    return "".join(blocks), objects
+
+
+def test_construct_results_match_golden():
+    """Byte-identical to the recorded results, with int or non-integral Fraction entries only."""
+    text, objects = _construct_results()
+    assert text == (DATA / "construct.out").read_text()
+    entries = []
+    for obj in objects:
+        if isinstance(obj, LinearRep):
+            entries += [x for m in (obj.v, *obj.gamma) for row in m for x in row] + list(obj.w)
+        else:
+            entries += [x for out in obj.outputs if isinstance(out, tuple) for x in out]
+    assert entries and all(type(x) is int or type(x) is Fraction and x.denominator != 1 for x in entries)
+
+
+class _FractionSpanBasis:
+    """SpanBasis as it was before fraction-free elimination: the reference."""
+
+    def __init__(self, dim):
+        self.vectors = []
+        self._rows = []
+
+    def _eliminate(self, vec):
+        residual = list(vec)
+        acc = [0] * len(self.vectors)
+        for pivot, echelon, comb in self._rows:
+            lead = residual[pivot]
+            if lead == 0:
+                continue
+            factor = Fraction(lead) / echelon[pivot]
+            for i, e in enumerate(echelon):
+                residual[i] -= factor * e
+            for i, c in enumerate(comb):
+                acc[i] += factor * c
+        return residual, acc
+
+    def coordinates(self, vec):
+        residual, acc = self._eliminate(vec)
+        if any(residual):
+            return None
+        return vector(acc)
+
+    def add_if_new(self, vec):
+        residual, acc = self._eliminate(vec)
+        pivot = next((i for i, r in enumerate(residual) if r != 0), None)
+        if pivot is None:
+            return False
+        self.vectors.append(vector(vec))
+        self._rows.append((pivot, vector(residual), vector([-c for c in acc] + [1])))
+        return True
+
+
+def _typed(values):
+    return None if values is None else [(x, type(x)) for x in values]
+
+
+def test_span_basis_matches_fraction_reference():
+    """Same verdicts, vectors and coordinates, values and element types, as Fraction elimination."""
+    rng = random.Random(8)
+
+    def scalar():
+        if rng.random() < 0.4:
+            return 0
+        if rng.random() < 0.3:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return rng.randint(-9, 9)
+
+    for _ in range(300):
+        dim = rng.randint(0, 6)
+        basis, reference = SpanBasis(dim), _FractionSpanBasis(dim)
+        seen = [tuple(scalar() for _ in range(dim))]
+        for _ in range(rng.randint(1, 12)):
+            kind = rng.randrange(4)
+            if kind == 0:  # fresh, usually outside the span
+                vec = tuple(scalar() for _ in range(dim))
+            elif kind == 1:
+                vec = (0,) * dim
+            elif kind == 2:
+                vec = rng.choice(seen)
+            else:  # a combination of earlier vectors, inside their span
+                terms = [(scalar(), rng.choice(seen)) for _ in range(rng.randint(1, 3))]
+                vec = vector(sum(c * u[i] for c, u in terms) for i in range(dim))
+            seen.append(vec)
+            if rng.random() < 0.6:
+                assert basis.add_if_new(vec) == reference.add_if_new(vec), vec
+            else:
+                assert _typed(basis.coordinates(vec)) == _typed(reference.coordinates(vec)), vec
+            assert [_typed(v) for v in basis.vectors] == [_typed(v) for v in reference.vectors]
+        for vec in seen:
+            assert _typed(basis.coordinates(vec)) == _typed(reference.coordinates(vec)), vec
+
+
+def test_span_basis_rejects_vectors_of_the_wrong_length():
+    basis = SpanBasis(3)
+    assert basis.add_if_new((1, 0, 0))
+    for vec in ((1, 2), (1, 2, 3, 4)):
+        for method in (basis.add_if_new, basis.coordinates):
+            with pytest.raises(ValueError, match=f"expected a vector of length 3, got {len(vec)}"):
+                method(vec)
+    assert basis.vectors == [(1, 0, 0)]
+    assert basis.coordinates((2, 0, 0)) == (2,)
