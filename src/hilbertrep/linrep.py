@@ -320,7 +320,7 @@ def transduce_rep(rep: LinearRep, trans: Transducer) -> LinearRep:
                 brow = block[p]
                 for q in range(s):
                     row[dst * s + q] += brow[q]
-        mats.append(matrix(rows))
+        mats.append(rows)
     v = []
     for vrow in rep.v:
         row = [0] * size
@@ -329,7 +329,7 @@ def transduce_rep(rep: LinearRep, trans: Transducer) -> LinearRep:
     w = [0] * size
     for f in trans.final:
         w[f * s:(f + 1) * s] = rep.w
-    return LinearRep(base=rep.base, v=matrix(v), gamma=tuple(mats), w=vector(w))
+    return LinearRep(base=rep.base, v=v, gamma=mats, w=w)
 
 
 def difference_rep(a: LinearRep, b: LinearRep) -> LinearRep:
@@ -339,15 +339,15 @@ def difference_rep(a: LinearRep, b: LinearRep) -> LinearRep:
     if a.out_dim != b.out_dim:
         raise ValueError("representations must share an output dimension")
     ra, rb = a.rank, b.rank
-    v = tuple(tuple(ar) + tuple(br) for ar, br in zip(a.v, b.v))
+    v = [ar + br for ar, br in zip(a.v, b.v)]
     gamma = []
     for d in range(a.base):
         ga, gb = a.gamma[d], b.gamma[d]
-        top = tuple(tuple(row) + (0,) * rb for row in ga)
-        bottom = tuple((0,) * ra + tuple(row) for row in gb)
+        top = [row + (0,) * rb for row in ga]
+        bottom = [(0,) * ra + row for row in gb]
         gamma.append(top + bottom)
-    w = tuple(a.w) + tuple(-x for x in b.w)
-    return LinearRep(base=a.base, v=v, gamma=tuple(gamma), w=w)
+    w = a.w + tuple(-x for x in b.w)
+    return LinearRep(base=a.base, v=v, gamma=gamma, w=w)
 
 
 def _row_closure(seeds, gammas, dim):
@@ -365,14 +365,7 @@ def _row_closure(seeds, gammas, dim):
         for g in gammas:
             basis.add_if_new(vec_mat(row, g))
         i += 1
-    coeffs = []
-    size = len(basis.vectors)
-    for g in gammas:
-        rows = []
-        for row in basis.vectors:
-            coords = basis.coordinates(vec_mat(row, g))
-            rows.append(tuple(coords) + (0,) * (size - len(coords)))
-        coeffs.append(matrix(rows))
+    coeffs = [[basis.coordinates(vec_mat(row, g)) for row in basis.vectors] for g in gammas]
     return basis, coeffs
 
 
@@ -393,23 +386,15 @@ def minimize_rep(rep: LinearRep) -> LinearRep:
     restrict to the span reached from w.  The result is reachable and
     observable, hence of minimal rank; a zero sequence reduces to rank 0.
     """
-    rep = LinearRep(base=rep.base, v=mat_mul(rep.v, rep.gamma[0]),
-                    gamma=rep.gamma, w=rep.w)
-    reach, g1 = _row_closure(rep.v, rep.gamma, rep.rank)
-    m = len(reach.vectors)
-    v1 = []
-    for row in rep.v:
-        coords = reach.coordinates(row)
-        v1.append(tuple(coords) + (0,) * (m - len(coords)))
-    w1 = vector(sum(r * c for r, c in zip(row, rep.w)) for row in reach.vectors)
+    v0 = mat_mul(rep.v, rep.gamma[0])
+    reach, g1 = _row_closure(v0, rep.gamma, rep.rank)
+    v1 = [reach.coordinates(row) for row in v0]
+    w1 = mat_vec(reach.vectors, rep.w)
 
-    observe, g2t = _row_closure([w1], [transpose(g) for g in g1], m)
-    p = len(observe.vectors)
-    coords = observe.coordinates(w1)
-    w2 = tuple(coords) + (0,) * (p - len(coords))
-    basis_columns = transpose(observe.vectors) if observe.vectors else tuple(() for _ in range(m))
-    v2 = mat_mul(matrix(v1), basis_columns) if m else tuple(() for _ in rep.v)
-    gamma2 = tuple(transpose(g) for g in g2t)
+    observe, g2t = _row_closure([w1], [transpose(g) for g in g1], len(reach.vectors))
+    w2 = observe.coordinates(w1)
+    v2 = mat_mul(v1, transpose(observe.vectors))
+    gamma2 = [transpose(g) for g in g2t]
     return LinearRep(base=rep.base, v=v2, gamma=gamma2, w=w2)
 
 
@@ -500,14 +485,6 @@ def guess_linrep(prefix, k: int, depth: int) -> GuessedLinearRep:
             if basis.add_if_new(sample_vector(e, i)):
                 spanning.append((e, i))
 
-    rank = len(spanning)
-    if rank == 0:  # identically zero on the sampled range
-        empty = tuple(() for _ in range(out_dim))
-        return GuessedLinearRep(
-            LinearRep(base=k, v=empty, gamma=tuple(() for _ in range(k)), w=()),
-            (),
-        )
-
     gamma = []
     for d in range(k):
         rows = []
@@ -518,11 +495,11 @@ def guess_linrep(prefix, k: int, depth: int) -> GuessedLinearRep:
                     f"refinement of kernel element ({e}, {i}) on digit {d} "
                     f"escapes the spanned space; increase depth or data"
                 )
-            rows.append(tuple(coords) + (0,) * (rank - len(coords)))
-        gamma.append(transpose(matrix(rows)))
-    v = tuple(tuple(values[i][c] for (_, i) in spanning) for c in range(out_dim))
-    w = (1,) + (0,) * (rank - 1)
-    return GuessedLinearRep(LinearRep(base=k, v=v, gamma=tuple(gamma), w=w), tuple(spanning))
+            rows.append(coords)
+        gamma.append(transpose(rows))
+    v = [[values[i][c] for _, i in spanning] for c in range(out_dim)]
+    w = tuple(int(i == 0) for i in range(len(spanning)))
+    return GuessedLinearRep(LinearRep(base=k, v=v, gamma=gamma, w=w), tuple(spanning))
 
 
 def linrep_to_text(rep: LinearRep) -> str:

@@ -5,8 +5,11 @@ when a value is genuinely non-integral; keeping integral values as ints
 makes the common all-integer case fast while every operation stays exact.
 ``SpanBasis`` eliminates over the integers alone: an entering vector is
 scaled to integers by the lcm of its denominators, and Fractions are
-formed only for the coordinates it returns.  Dimensions in this package
-never exceed a few dozen, so nothing here is tuned beyond that scale.
+formed only for the coordinates it returns.  Empty shapes pass through:
+``transpose(())`` is ``()``, and ``mat_mul(a, ())`` is ``len(a)`` empty
+rows, so rank-0 representations need no special case.  Dimensions in this
+package never exceed a few dozen, so nothing here is tuned beyond that
+scale.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ def identity(n: int) -> tuple[tuple, ...]:
 
 
 def transpose(a) -> tuple[tuple, ...]:
-    return tuple(zip(*a)) if a else ()
+    return tuple(zip(*a))
 
 
 def dot(u, v):
@@ -78,9 +81,6 @@ class SpanBasis:
         self.vectors: list[tuple] = []
         self._rows: list[tuple[int, list[int], list[int]]] = []  # (pivot, echelon row, combination)
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
     def _eliminate(self, vec) -> tuple[list[int], list[int], int]:
         if len(vec) != self.dim:
             raise ValueError(f"expected a vector of length {self.dim}, got {len(vec)}")
@@ -102,7 +102,10 @@ class SpanBasis:
         return residual, acc, scale
 
     def coordinates(self, vec) -> tuple | None:
-        """Coordinates of ``vec`` over the admitted vectors, or None if outside."""
+        """Coordinates of ``vec`` over the admitted vectors, or None if outside.
+
+        A result has one entry per vector admitted so far.
+        """
         residual, acc, scale = self._eliminate(vec)
         if any(residual):
             return None

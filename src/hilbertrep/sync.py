@@ -93,9 +93,12 @@ def _lookup(arcs, accepting: frozenset[int]) -> _Lookup:
     return _Lookup(arcs, live, table)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SyncAutomaton:
-    """Deterministic automaton over digit triples with an implicit dead state."""
+    """Deterministic automaton over digit triples with an implicit dead state.
+
+    Equality compares the declared fields, not the lookups derived from them.
+    """
 
     bases: tuple[int, int, int]
     state_count: int
@@ -103,8 +106,8 @@ class SyncAutomaton:
     accepting: frozenset[int]
     transitions: Mapping[tuple[int, Triple], int]
     # index digit -> coordinate bits, and coordinate bits -> index digit; built once
-    _coords: _Lookup = field(init=False, repr=False)
-    _locate: _Lookup = field(init=False, repr=False)
+    _coords: _Lookup = field(init=False, repr=False, compare=False)
+    _locate: _Lookup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for base in self.bases:
@@ -127,14 +130,6 @@ class SyncAutomaton:
         for name, arcs in (("_coords", by_index), ("_locate", by_point)):
             frozen = tuple(tuple(tuple(a) for a in per_state) for per_state in arcs)
             object.__setattr__(self, name, _lookup(frozen, self.accepting))
-
-    def __eq__(self, other):
-        if not isinstance(other, SyncAutomaton):
-            return NotImplemented
-        return (self.bases, self.state_count, self.initial, self.accepting,
-                dict(self.transitions)) == (other.bases, other.state_count,
-                                            other.initial, other.accepting,
-                                            dict(other.transitions))
 
 
 _HILBERT_SYNC_ROWS: tuple[tuple[int, Triple, int], ...] = (

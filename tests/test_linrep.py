@@ -33,7 +33,7 @@ from hilbertrep.linrep import (
     transducer_outputs,
 )
 from hilbertrep.oracle import generate_generation, walk
-from hilbertrep.ratmat import SpanBasis, mat_mul, vector
+from hilbertrep.ratmat import SpanBasis, mat_mul, transpose, vector
 from hilbertrep.textfmt import ParseError
 
 DATA = Path(__file__).parent / "data"
@@ -453,6 +453,12 @@ def _typed(values):
     return None if values is None else [(x, type(x)) for x in values]
 
 
+def _full_length(basis, vec):
+    """Whether ``coordinates`` has one entry per admitted vector, or is None."""
+    coords = basis.coordinates(vec)
+    return coords is None or len(coords) == len(basis.vectors)
+
+
 def test_span_basis_matches_fraction_reference():
     """Same verdicts, vectors and coordinates, values and element types, as Fraction elimination."""
     rng = random.Random(8)
@@ -484,9 +490,18 @@ def test_span_basis_matches_fraction_reference():
                 assert basis.add_if_new(vec) == reference.add_if_new(vec), vec
             else:
                 assert _typed(basis.coordinates(vec)) == _typed(reference.coordinates(vec)), vec
+                assert _full_length(basis, vec), vec
             assert [_typed(v) for v in basis.vectors] == [_typed(v) for v in reference.vectors]
         for vec in seen:
             assert _typed(basis.coordinates(vec)) == _typed(reference.coordinates(vec)), vec
+            assert _full_length(basis, vec), vec
+
+
+def test_empty_shapes_pass_through_transpose_and_mat_mul():
+    assert transpose(()) == ()
+    assert transpose(((), ())) == ()
+    assert mat_mul(((), ()), ()) == ((), ())
+    assert mat_mul(((1, 2),), ((), ())) == ((),)
 
 
 def test_span_basis_rejects_vectors_of_the_wrong_length():

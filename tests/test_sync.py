@@ -1,6 +1,7 @@
 """The lockstep index/coordinate automaton and its lookups."""
 
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -261,6 +262,22 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         SyncAutomaton(bases=(4, 2, 2), state_count=2, initial=0,
                       accepting=frozenset({0}), transitions={(0, (4, 0, 0)): 1})
+
+
+def test_equality_compares_the_declared_fields():
+    m = hilbert_sync()
+    twin = _search_only(m)
+    assert twin == m and m == twin  # the derived lookups differ and are not compared
+    assert SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
+                         accepting=m.accepting, transitions=MappingProxyType(dict(m.transitions))) == m
+    retargeted = SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
+                               accepting=m.accepting, transitions={**m.transitions, (0, (1, 1, 0)): 2})
+    flipped = SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
+                            accepting=m.accepting ^ {1}, transitions=m.transitions)
+    assert retargeted != m and flipped != m
+    assert (m == sync_to_text(m)) is False
+    with pytest.raises(TypeError):
+        hash(m)
 
 
 def test_text_round_trip_is_byte_exact():

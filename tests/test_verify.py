@@ -1,10 +1,15 @@
 """The bounded check suites and their report format."""
 
-import pytest
+import random
+from pathlib import Path
 
+import pytest
+from test_sync import _single_faults
+
+from hilbertrep.cli import main
 from hilbertrep.dfao import Dfao, hilbert_dfao
 from hilbertrep.oracle import Direction, GenerationBudgetError
-from hilbertrep.sync import SyncAutomaton, hilbert_sync
+from hilbertrep.sync import SyncAutomaton, hilbert_sync, sync_to_text
 from hilbertrep.verify import (
     VerifyReport,
     format_report,
@@ -60,6 +65,53 @@ def _with_transition(key, target):
     m = hilbert_sync()
     return SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
                          accepting=m.accepting, transitions={**m.transitions, key: target})
+
+
+def _squared(m):
+    """The machine reading two of m's triples per symbol, with the squared bases."""
+    bn, bx, by = m.bases
+    transitions = {}
+    for (q, (i1, j1, k1)), mid in m.transitions.items():
+        for (p, (i2, j2, k2)), target in m.transitions.items():
+            if p == mid:
+                transitions[(q, (bn * i1 + i2, bx * j1 + j2, by * k1 + k2))] = target
+    return SyncAutomaton(bases=(bn * bn, bx * bx, by * by), state_count=m.state_count,
+                         initial=m.initial, accepting=m.accepting, transitions=transitions)
+
+
+def test_sync_suite_passes_on_other_bases():
+    """Bases (16, 4, 4) leave the walks and take the per-index lookups."""
+    squared = _squared(hilbert_sync())
+    assert squared.bases == (16, 4, 4)
+    for t in range(5):
+        reports = verify_sync_suite(t, machine=squared)
+        assert len(reports) == 12 and all(r.passed for r in reports), t
+
+
+def test_per_index_path_matches_the_walks_on_single_faults():
+    """Squaring keeps the relation of a machine whose initial state loops on (0,0,0)."""
+    m = hilbert_sync()
+    faults = [(transitions, accepting) for transitions, accepting in _single_faults(m)
+              if transitions.get((m.initial, (0, 0, 0))) == m.initial]
+    assert len(faults) == 440
+    failing = 0
+    for transitions, accepting in random.Random(9).sample(faults, 40):
+        faulty = SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
+                               accepting=accepting, transitions=transitions)
+        reports = verify_sync_suite(3, machine=faulty)
+        assert verify_sync_suite(3, machine=_squared(faulty)) == reports
+        failing += not all(r.passed for r in reports)
+    assert failing
+
+
+def test_verify_cli_on_a_squared_machine_matches_golden(tmp_path, capsys):
+    path = tmp_path / "squared.sync"
+    path.write_text(sync_to_text(_squared(hilbert_sync())), encoding="ascii")
+    code = main(["verify", "--gen-bound", "3", "--digit-bound", "3", "--cross-bound", "3",
+                 "--sync-file", str(path)])
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "verify_3_3_3.out"
+    assert capsys.readouterr().out == golden.read_text(encoding="ascii")
 
 
 def test_zero_padding_failure_is_exact():
