@@ -6,10 +6,20 @@ strings to letters (dfao), by exact rational linear representations of
 the coordinate sequence (linrep), and by a lockstep automaton relating
 the base-4 index to base-2 coordinates (sync).  The verify module replays
 the defining identities and space-filling properties as bounded
-exhaustive checks, and bitmap renders stage images.
+exhaustive checks, and bitmap renders stage images from the automatic
+bitmap, a two-dimensional automaton derived from the sync machine.
 """
 
-from .bitmap import Bitmap, count_lit, parse_pbm, render_from_walk, render_generation, write_pbm
+from .bitmap import (
+    Bitmap,
+    bitmap_dfao,
+    count_lit,
+    parse_pbm,
+    render_from_walk,
+    render_generation,
+    render_pbm,
+    write_pbm,
+)
 from .dfao import (
     Dfao,
     coords_by_letters,

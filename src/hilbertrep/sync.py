@@ -28,6 +28,7 @@ Transitions not listed are dead; the dead state is implicit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .dfao import from_base, require_base, to_base
@@ -98,6 +99,9 @@ class SyncAutomaton:
     """Deterministic automaton over digit triples with an implicit dead state.
 
     Equality compares the declared fields, not the lookups derived from them.
+    ``transitions`` is copied into a read-only mapping on construction, so
+    changing the caller's dict afterwards changes neither the machine nor
+    the lookups derived from it.
     """
 
     bases: tuple[int, int, int]
@@ -110,6 +114,7 @@ class SyncAutomaton:
     _locate: _Lookup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "transitions", MappingProxyType(dict(self.transitions)))
         for base in self.bases:
             require_base(base)
         if not 0 <= self.initial < self.state_count:

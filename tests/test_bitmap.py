@@ -6,13 +6,17 @@ import pytest
 
 from hilbertrep.bitmap import (
     Bitmap,
+    bitmap_dfao,
     count_lit,
     parse_pbm,
     render_from_walk,
     render_generation,
+    render_pbm,
     write_pbm,
 )
+from hilbertrep.dfao import Dfao, eval_dfao
 from hilbertrep.oracle import GenerationBudgetError
+from hilbertrep.sync import hilbert_sync
 
 GOLDEN = Path(__file__).parent / "data" / "gen1.pbm"
 
@@ -32,6 +36,42 @@ def test_lit_count_formula(g):
 @pytest.mark.parametrize("g", range(1, 8))
 def test_lookup_and_walk_renders_agree(g):
     assert render_generation(g) == render_from_walk(g)
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_streamed_pbm_matches_the_walk_image(g):
+    assert b"".join(render_pbm(g)) == write_pbm(render_from_walk(g))
+
+
+def test_streamed_stage_ten_lit_count():
+    header, *rows = render_pbm(10)
+    assert header == b"P1\n2047 2047\n"
+    assert len(rows) == 2047
+    assert sum(row.count(b"1") for row in rows) == 2 * 4**10 - 1
+
+
+def test_bitmap_dfao_shape():
+    machine = bitmap_dfao(hilbert_sync())
+    assert isinstance(machine, Dfao) and machine.base == 4
+    assert machine.transitions[machine.initial][0] == machine.initial
+    assert machine.state_count == 128
+    assert {output[0] for output in machine.outputs} == {True}  # every lattice point is visited
+
+
+def _interleaved(x: int, y: int) -> int:
+    """The base-4 number whose digits are the bit pairs (x bit, y bit), symbol 2 * x_bit + y_bit."""
+    return sum((((x >> i) & 1) * 2 + ((y >> i) & 1)) * 4**i for i in range(max(x, y, 1).bit_length()))
+
+
+def test_bitmap_dfao_reads_the_pixel_blocks_of_the_walk_image():
+    machine = bitmap_dfao(hilbert_sync())
+    g = 4
+    image = render_from_walk(g + 1)  # holds the connectors leaving the stage-g square too
+    bits = image.bits
+    for x in range(2**g):
+        for y in range(2**g):
+            block = (bits[2 * y][2 * x], bits[2 * y][2 * x + 1], bits[2 * y + 1][2 * x])
+            assert eval_dfao(machine, _interleaved(x, y)) == block, (x, y)
 
 
 def test_connectors_join_exactly_two_lattice_pixels():
@@ -81,6 +121,8 @@ def test_stage_bounds(monkeypatch):
         render_generation(0)
     with pytest.raises(GenerationBudgetError):
         render_generation(13)
+    with pytest.raises(GenerationBudgetError):
+        render_pbm(13)  # refused when called, not when the first chunk is read
     monkeypatch.setenv("HILBERT_BUDGET", "3")
     with pytest.raises(GenerationBudgetError):
         render_from_walk(4)

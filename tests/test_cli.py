@@ -157,6 +157,7 @@ def test_budget_errors_exit_3_with_one_line(capsys, monkeypatch, tmp_path, argv)
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "budget of stage 12" in err
+    assert not (tmp_path / "unused.pbm").exists()
 
 
 def test_malformed_budget_fails_only_commands_that_build_a_stage(capsys, monkeypatch, tmp_path):
@@ -165,6 +166,37 @@ def test_malformed_budget_fails_only_commands_that_build_a_stage(capsys, monkeyp
     code, out, err = run(capsys, "render", "2", "-o", "out.pbm")
     assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
     assert run(capsys, "dir", "5") == (0, "U 0\n", "")
+
+
+@pytest.mark.parametrize("budget, stage, code", [("3", "4", 3), ("x", "2", 2)])
+def test_refused_render_writes_no_file(capsys, monkeypatch, tmp_path, budget, stage, code):
+    monkeypatch.setenv("HILBERT_BUDGET", budget)
+    out = tmp_path / "refused.pbm"
+    result, stdout, err = run(capsys, "render", stage, "-o", str(out))
+    assert (result, stdout) == (code, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# main() in a child of a launcher that imports nothing of the package: Linux
+# carries the pre-exec high-water mark of a forked process into the child's
+# ru_maxrss, so the test process must not be the one that spawns it
+_CHILD_RSS = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "hilbertrep.cli", *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_render_ten_streams_in_little_memory(tmp_path):
+    out = tmp_path / "g10.pbm"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", _CHILD_RSS, "render", "10", "-o", str(out)],
+                            capture_output=True, text=True, env=env, timeout=60)
+    code, maxrss_kb = map(int, result.stdout.split())
+    assert code == 0
+    assert maxrss_kb < 30 * 1024
+    assert out.stat().st_size == len("P1\n2047 2047\n") + 2 * 2047 * 2047
 
 
 def test_export_import_round_trip(capsys, tmp_path):

@@ -280,6 +280,20 @@ def test_equality_compares_the_declared_fields():
         hash(m)
 
 
+def test_changing_the_source_dict_changes_nothing():
+    from hilbertrep.bitmap import bitmap_dfao
+
+    d = dict(hilbert_sync().transitions)
+    m = SyncAutomaton(bases=(4, 2, 2), state_count=10, initial=0,
+                      accepting=frozenset({0, 2, 3, 5, 6, 7}), transitions=d)
+    before = (accepts(m, 1, 0, 1), sync_to_text(m), sync_coords(m, 1), bitmap_dfao(m))
+    del d[(0, (1, 0, 1))]
+    assert (accepts(m, 1, 0, 1), sync_to_text(m), sync_coords(m, 1), bitmap_dfao(m)) == before
+    assert before[:3] == (True, sync_to_text(hilbert_sync()), (0, 1))
+    with pytest.raises(TypeError):
+        m.transitions[(0, (1, 0, 1))] = 3
+
+
 def test_text_round_trip_is_byte_exact():
     m = hilbert_sync()
     text = sync_to_text(m)
