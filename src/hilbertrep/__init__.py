@@ -14,7 +14,6 @@ from .bitmap import (
     Bitmap,
     bitmap_dfao,
     count_lit,
-    parse_pbm,
     render_from_walk,
     render_generation,
     render_pbm,
@@ -68,7 +67,6 @@ from .oracle import (
     hc_prefix,
     recode,
     walk,
-    walk_csv,
     word_from_str,
     word_to_str,
 )

@@ -12,9 +12,11 @@ machine S a base-4 automaton that reads the bit pairs of a lattice point
 (2x, 2y): whether the point is on the curve, ∃n S(n, x, y); whether the
 pixel to its right is lit, ∃n S(n, x, y) ∧ S(n±1, x+1, y); and whether
 the pixel above it is, the same with y+1 (the odd-odd pixel never is).
-Each connector relation runs two copies of S with msd-first incrementers
-on the coordinate and the index; each relation is projected to the point
-bits and determinized by subset construction, and the three automata are
+Each connector relation runs two copies of S with msd-first successor
+recognizers on the coordinate and the index: two-state automata reading
+digit pairs (a, b) of the same length that accept exactly when b = a + 1.
+Each relation is projected to the point bits and determinized by subset
+construction (14, 74 and 74 subsets), and the three automata are
 combined as a product (the method of Walnut, Mousavi 2016).
 ``render_pbm`` streams the plain PBM rows of a stage from that automaton,
 building the quadtree block of each state once up to a small level;
@@ -28,11 +30,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import Iterator
 
-from .dfao import Dfao
-from .linrep import increment_transducer
+from .dfao import Dfao, determinize, explore
 from .oracle import generate_generation, require_stage, walk
 from .sync import SyncAutomaton, hilbert_sync
 
@@ -63,34 +64,19 @@ def _check_stage(g: int) -> None:
     require_stage(g)
 
 
-def _explore(start, successor, symbols: int):
-    """Breadth-first discovery from ``start``: the states in order and their transition rows."""
-    index = {start: 0}
-    order = [start]
-    rows = []
-    for state in order:  # grows while it is read
-        row = []
-        for s in range(symbols):
-            target = successor(state, s)
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-            row.append(index[target])
-        rows.append(tuple(row))
-    return order, rows
+def _successor_moves(k: int) -> dict[tuple[int, int, int], int]:
+    """The msd-first recognizer of b = a + 1 on same-length base-k digit strings.
 
-
-def _determinize(start, step, accepting, symbols: int):
-    """Subset construction from the NFA states ``start``: transition rows and accepting flags.
-
-    ``step(q, s)`` lists the NFA successors of q on symbol s; subset 0 is
-    ``start`` and the empty subset is an ordinary (dead) state.
+    ``moves[state, a_digit, b_digit]`` is the next state; a missing key
+    rejects.  State 0, the start, means "equal so far"; state 1, the only
+    final state, means b's digit went one above a's and every digit since
+    has been k-1 in a and 0 in b.  A leading zero pad leaves room for a
+    carry out of the top digit.
     """
-    step = cache(step)
-    subsets, rows = _explore(
-        frozenset(start), lambda subset, s: frozenset(chain.from_iterable(map(step, subset, repeat(s)))),
-        symbols)
-    return rows, [any(map(accepting, subset)) for subset in subsets]
+    moves = {(0, d, d): 0 for d in range(k)}
+    moves.update({(0, d, d + 1): 1 for d in range(k - 1)})
+    moves[1, k - 1, 0] = 1
+    return moves
 
 
 def _tracks(machine: SyncAutomaton):
@@ -104,23 +90,12 @@ def _tracks(machine: SyncAutomaton):
     def on_curve(q, s):
         return [target for _, target in arcs[(q, *divmod(s, by))]]
 
-    lattice = _determinize({machine.initial}, on_curve, final, bx * by)
-
-    # msd-first guess-the-carry incrementers of the same length: a leading
-    # zero pad leaves room for the carry, so the overflow arc is not needed
-    def same_length(k):
-        inc = increment_transducer(k)
-        moves = defaultdict(list)  # (state, digit, successor digit) -> [target]
-        for src, d, out, dst in inc.moves:
-            if len(out) == 1:
-                moves[src, d, out[0]].append(dst)
-        return inc.initial, inc.final, moves
-
-    n_start, n_final, n_moves = same_length(bn)
+    lattice = determinize({machine.initial}, on_curve, final, bx * by)
+    n_moves = _successor_moves(bn)
 
     def connector(axis):
-        """∃n S(n, p) ∧ S(n±1, p + e_axis): states (q, q', coordinate carry, index carry, ±1)."""
-        c_start, c_final, c_moves = same_length((bx, by)[axis])
+        """∃n S(n, p) ∧ S(n±1, p + e_axis): states (q, q', axis recognizer, index recognizer, ±1)."""
+        c_moves = _successor_moves((bx, by)[axis])
 
         def step(state, s):
             q, q2, c, m, sign = state
@@ -128,20 +103,23 @@ def _tracks(machine: SyncAutomaton):
             here = arcs[(q, *point)]
             out = []
             for d2 in range((bx, by)[axis]):  # the neighbour's digit on the axis
-                for c2 in c_moves[c, point[axis], d2]:
-                    other = (d2, point[1]) if axis == 0 else (point[0], d2)
-                    for i, t in here:
-                        for i2, t2 in arcs[(q2, *other)]:
-                            pair = (i, i2) if sign > 0 else (i2, i)
-                            out.extend((t, t2, c2, m2, sign) for m2 in n_moves[(m, *pair)])
+                c2 = c_moves.get((c, point[axis], d2))
+                if c2 is None:
+                    continue
+                other = (d2, point[1]) if axis == 0 else (point[0], d2)
+                for i, t in here:
+                    for i2, t2 in arcs[(q2, *other)]:
+                        m2 = n_moves.get((m, i, i2) if sign > 0 else (m, i2, i))
+                        if m2 is not None:
+                            out.append((t, t2, c2, m2, sign))
             return out
 
         def accepted(state):
             q, q2, c, m, _ = state
-            return final(q) and final(q2) and c in c_final and m in n_final
+            return final(q) and final(q2) and c == 1 and m == 1
 
-        start = [(machine.initial, machine.initial, c_start, n_start, sign) for sign in (1, -1)]
-        return _determinize(start, step, accepted, bx * by)
+        start = [(machine.initial, machine.initial, 0, 0, sign) for sign in (1, -1)]
+        return determinize(start, step, accepted, bx * by)
 
     return lattice, connector(0), connector(1)
 
@@ -161,7 +139,7 @@ def bitmap_dfao(machine: SyncAutomaton) -> Dfao:
     """
     tracks = _tracks(machine)
     symbols = len(tracks[0][0][0])
-    order, transitions = _explore(
+    order, transitions = explore(
         tuple(rows[0][0] for rows, _ in tracks),
         lambda states, s: tuple(rows[q][s] for (rows, _), q in zip(tracks, states)),
         symbols)
@@ -222,7 +200,12 @@ def render_pbm(g: int) -> Iterator[bytes]:
 
 def render_generation(g: int) -> Bitmap:
     """Stage g as a ``Bitmap``: the image ``render_pbm`` streams."""
-    return parse_pbm(b"".join(render_pbm(g)))
+    chunks = render_pbm(g)
+    next(chunks)  # the header
+    # a row "1 0 1\n" holds its pixel digits at even offsets
+    rows_top_down = [tuple(pixel == ord("1") for pixel in row[::2]) for row in chunks]
+    side = len(rows_top_down)
+    return Bitmap(width=side, height=side, bits=tuple(reversed(rows_top_down)))
 
 
 def _draw(g: int, points) -> Bitmap:
@@ -253,21 +236,3 @@ def write_pbm(bitmap: Bitmap) -> bytes:
         lines.append(" ".join("1" if bit else "0" for bit in row) + "\n")
     return "".join(lines).encode("ascii")
 
-
-def parse_pbm(data: bytes) -> Bitmap:
-    """Parse plain PBM; the inverse of write_pbm (comments tolerated)."""
-    tokens: list[str] = []
-    for raw in data.decode("ascii").splitlines():
-        tokens.extend(raw.split("#", 1)[0].split())
-    if not tokens or tokens[0] != "P1":
-        raise ValueError("not a plain PBM stream")
-    if len(tokens) < 3:
-        raise ValueError("truncated PBM header")
-    width, height = int(tokens[1]), int(tokens[2])
-    cells = "".join(tokens[3:])
-    if len(cells) != width * height or set(cells) - {"0", "1"}:
-        raise ValueError(f"expected {width * height} binary pixels")
-    rows_top_down = [
-        tuple(ch == "1" for ch in cells[r * width:(r + 1) * width]) for r in range(height)
-    ]
-    return Bitmap(width=width, height=height, bits=tuple(reversed(rows_top_down)))

@@ -3,13 +3,19 @@
 hilbert_dfao() is an 8-state machine: running it on the base-4 digits of
 n, most significant digit first, ends in a state whose output is the n'th
 letter of the curve word; ``dfao_walk`` reads the letters of a whole
-range of indices at once.  The module also carries the digit-string
-utilities shared by the other representations.
+range of indices at once.  The module also carries what the other
+representations share: the digit-string utilities, and the automaton
+engine, ``explore`` (breadth-first discovery of the states reachable
+from a start) and ``determinize`` (subset construction on top of it),
+which build the automatic bitmap, compare two machines and close a
+linear representation's matrices into an automaton.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain, repeat
 from typing import Hashable
 
 from .oracle import STEP, Direction
@@ -161,17 +167,39 @@ def coords_by_letters(machine: Dfao, n: int) -> tuple[int, int]:
     return tuple(map(sum, zip((0, 0), *blocks)))
 
 
-def _bfs_order(machine: Dfao) -> list[int]:
-    """Reachable states in breadth-first discovery order (digits ascending)."""
-    order = [machine.initial]
-    seen = {machine.initial}
-    for state in order:
-        for digit in range(machine.base):
-            target = machine.transitions[state][digit]
-            if target not in seen:
-                seen.add(target)
+def explore(start, successor, symbols: int):
+    """Breadth-first discovery from ``start``: the states in order and their transition rows.
+
+    ``successor(state, s)`` is the state reached on symbol s, for s in
+    ``range(symbols)``; states are numbered in discovery order, symbols
+    ascending, so the numbering is deterministic.
+    """
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for state in order:  # grows while it is read
+        row = []
+        for s in range(symbols):
+            target = successor(state, s)
+            if target not in index:
+                index[target] = len(order)
                 order.append(target)
-    return order
+            row.append(index[target])
+        rows.append(tuple(row))
+    return order, rows
+
+
+def determinize(start, step, accepting, symbols: int):
+    """Subset construction from the NFA states ``start``: transition rows and accepting flags.
+
+    ``step(q, s)`` lists the NFA successors of q on symbol s; subset 0 is
+    ``start`` and the empty subset is an ordinary (dead) state.
+    """
+    step = cache(step)
+    subsets, rows = explore(
+        frozenset(start), lambda subset, s: frozenset(chain.from_iterable(map(step, subset, repeat(s)))),
+        symbols)
+    return rows, [any(map(accepting, subset)) for subset in subsets]
 
 
 def dfao_equal(a: Dfao, b: Dfao) -> tuple[bool, dict[int, int] | None]:
@@ -179,22 +207,15 @@ def dfao_equal(a: Dfao, b: Dfao) -> tuple[bool, dict[int, int] | None]:
 
     Returns (True, mapping) with the state relabeling from a to b, or
     (False, None).  Both machines are canonically renumbered by
-    breadth-first discovery, which makes the witness deterministic.
+    ``explore``, which makes the witness deterministic: they are equal
+    when the renumbered rows and outputs are.
     """
     if a.base != b.base:
         return False, None
-    order_a = _bfs_order(a)
-    order_b = _bfs_order(b)
-    if len(order_a) != len(order_b):
+    order_a, rows_a = explore(a.initial, lambda q, d: a.transitions[q][d], a.base)
+    order_b, rows_b = explore(b.initial, lambda q, d: b.transitions[q][d], b.base)
+    if rows_a != rows_b or [a.outputs[q] for q in order_a] != [b.outputs[q] for q in order_b]:
         return False, None
-    index_a = {q: i for i, q in enumerate(order_a)}
-    index_b = {q: i for i, q in enumerate(order_b)}
-    for qa, qb in zip(order_a, order_b):
-        if a.outputs[qa] != b.outputs[qb]:
-            return False, None
-        for digit in range(a.base):
-            if index_a[a.transitions[qa][digit]] != index_b[b.transitions[qb][digit]]:
-                return False, None
     return True, dict(zip(order_a, order_b))
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
 
-from .dfao import Dfao, require_base, to_base
+from .dfao import Dfao, explore, require_base, to_base
 from .oracle import STEP
 from .ratmat import SpanBasis, identity, mat_mul, mat_vec, matrix, transpose, vec_mat, vector
 from .textfmt import ParseError, format_scalar, parse_index, parse_int, parse_scalar, read_text, require_all
@@ -408,29 +408,27 @@ def semigroup_trick(rep: LinearRep) -> Dfao:
     States are the distinct matrices v . gamma(digits); the transition on
     digit a right-multiplies by gamma(a), and a state's output is the
     direction whose unit step equals state . w (the raw vector when it is
-    not a unit step).  Exploration is breadth-first in digit order, so the
-    state numbering is deterministic.  Exceeding ``_STATE_BUDGET`` raises
-    StateBudgetExceededError, the signal that the row space is not finite.
+    not a unit step).  ``explore`` discovers them breadth-first in digit
+    order, so the state numbering is deterministic.  Exceeding
+    ``_STATE_BUDGET`` raises StateBudgetExceededError, the signal that the
+    row space is not finite.
     """
     start = rep.v
     if mat_mul(start, rep.gamma[0]) != start:
         raise ValueError("leading zeros change the start matrix; no automaton exists")
-    index: dict[tuple, int] = {start: 0}
-    order = [start]
-    transitions = []
-    for state_matrix in order:
-        row = []
-        for a in range(rep.base):
-            succ = mat_mul(state_matrix, rep.gamma[a])
-            if succ not in index:
-                if len(order) >= _STATE_BUDGET:
-                    raise StateBudgetExceededError(
-                        f"more than {_STATE_BUDGET} distinct state matrices"
-                    )
-                index[succ] = len(order)
-                order.append(succ)
-            row.append(index[succ])
-        transitions.append(tuple(row))
+    seen = {start}
+
+    def successor(state_matrix, a):
+        succ = mat_mul(state_matrix, rep.gamma[a])
+        if succ not in seen:
+            if len(seen) >= _STATE_BUDGET:
+                raise StateBudgetExceededError(
+                    f"more than {_STATE_BUDGET} distinct state matrices"
+                )
+            seen.add(succ)
+        return succ
+
+    order, transitions = explore(start, successor, rep.base)
     outputs = []
     for state_matrix in order:
         value = mat_vec(state_matrix, rep.w)

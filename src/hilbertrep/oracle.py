@@ -166,9 +166,3 @@ def word_from_str(text: str) -> bytes:
     except KeyError as exc:
         raise ValueError(f"invalid letter {exc.args[0]!r}, expected one of URDL") from None
 
-
-def walk_csv(points: Iterable[Point]) -> str:
-    """Dump walk points as CSV with an ``n,x,y`` header row."""
-    lines = ["n,x,y"]
-    lines.extend(f"{n},{p.x},{p.y}" for n, p in enumerate(points))
-    return "\n".join(lines) + "\n"

@@ -6,9 +6,9 @@ import pytest
 
 from hilbertrep.bitmap import (
     Bitmap,
+    _successor_moves,
     bitmap_dfao,
     count_lit,
-    parse_pbm,
     render_from_walk,
     render_generation,
     render_pbm,
@@ -48,6 +48,26 @@ def test_streamed_stage_ten_lit_count():
     assert header == b"P1\n2047 2047\n"
     assert len(rows) == 2047
     assert sum(row.count(b"1") for row in rows) == 2 * 4**10 - 1
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_successor_recognizer_accepts_exactly_one_more(k):
+    """Every same-length pair (a, b) of at most 5 digits: accepted exactly when b = a + 1.
+
+    For each a, every b is read alongside it digit by digit; a prefix pair
+    with no move is rejected with all its extensions, so the runs left at
+    the end are all the b the recognizer did not reject.
+    """
+    moves = _successor_moves(k)
+    for length in range(6):
+        for a in range(k**length):
+            runs = [(0, 0)]  # (state, value of b's digits so far) for each b prefix not yet rejected
+            for e in reversed(range(length)):
+                digit = a // k**e % k
+                runs = [(moves[state, digit, d], b * k + d)
+                        for state, b in runs for d in range(k) if (state, digit, d) in moves]
+            accepted = [b for state, b in runs if state == 1]
+            assert accepted == ([a + 1] if a + 1 < k**length else []), (length, a)
 
 
 def test_bitmap_dfao_shape():
@@ -101,19 +121,6 @@ def test_pbm_smallest_image():
 
 def test_stage_one_matches_golden_file():
     assert write_pbm(render_generation(1)) == GOLDEN.read_bytes()
-
-
-def test_pbm_round_trip():
-    for g in (1, 2, 3):
-        image = render_generation(g)
-        assert parse_pbm(write_pbm(image)) == image
-
-
-def test_pbm_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_pbm(b"P4\n1 1\n1\n")
-    with pytest.raises(ValueError):
-        parse_pbm(b"P1\n2 2\n1 0 1\n")
 
 
 def test_stage_bounds(monkeypatch):

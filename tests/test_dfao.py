@@ -142,6 +142,20 @@ def test_not_equal_when_an_output_differs():
     assert mapping is None
 
 
+def test_unreachable_states_are_ignored():
+    m = hilbert_dfao()
+    extended = Dfao(base=4, transitions=m.transitions + ((0, 1, 2, 3),),
+                    outputs=m.outputs + (Direction.L,))  # state 8 is unreachable
+    assert dfao_equal(m, extended) == (True, {q: q for q in range(8)})
+    assert dfao_equal(extended, m) == (True, {q: q for q in range(8)})
+
+
+def test_not_equal_when_the_bases_differ():
+    binary = Dfao(base=2, transitions=((0, 0),), outputs=(Direction.U,))
+    assert dfao_equal(hilbert_dfao(), binary) == (False, None)
+    assert dfao_equal(binary, hilbert_dfao()) == (False, None)
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         Dfao(base=4, transitions=((0, 0, 0),), outputs=(Direction.U,))

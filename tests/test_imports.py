@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and rendering imports no more than it needs.
 
 No linter is assumed: each module is parsed with ``ast``, and an imported
 name counts as used when it appears as a name anywhere in the module.
@@ -40,3 +40,29 @@ def test_an_unused_import_is_caught():
     assert unused_imports(source) == ["line 2: matrix"]
     assert unused_imports("import os.path\nos.sep\n") == []
     assert unused_imports("import os  # noqa: F401\n") == []
+
+
+def package_imports(name: str) -> set[str]:
+    """The package modules ``name`` imports, directly or through other package modules."""
+    found, todo = set(), [name]
+    while todo:
+        tree = ast.parse((PACKAGE / f"{todo.pop()}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                modules = [node.module] if node.module else [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hilbertrep."):
+                modules = [node.module.split(".")[1]]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name.split(".")[1] for alias in node.names if alias.name.startswith("hilbertrep.")]
+            else:
+                continue
+            todo.extend(sorted(set(modules) - found))
+            found.update(modules)
+    return found
+
+
+def test_bitmap_imports_neither_linrep_nor_verify():
+    """Rendering reads the sync machine only; linear representations and suites stay off its path."""
+    imported = package_imports("bitmap")
+    assert {"dfao", "oracle", "sync"} <= imported
+    assert not imported & {"linrep", "verify"}

@@ -14,7 +14,6 @@ from hilbertrep.oracle import (
     hc_prefix,
     recode,
     walk,
-    walk_csv,
     word_from_str,
     word_to_str,
 )
@@ -136,8 +135,3 @@ def test_word_text_round_trip():
     assert word_from_str(word_to_str(word)) == word
     with pytest.raises(ValueError):
         word_from_str("URDX")
-
-
-def test_walk_csv():
-    text = walk_csv(walk(word_from_str("UR")))
-    assert text == "n,x,y\n0,0,0\n1,0,1\n2,1,1\n"
