@@ -9,6 +9,8 @@ Exit codes, all decided in ``main``: 0 success, 1 a ``verify`` check failed,
 2 a usage, parse, file or any other error, 3 a stage beyond the budget
 (the HILBERT_BUDGET environment variable sets it).  An error after argument
 parsing prints one ``error:`` line on stderr; no input gives a traceback.
+Each subcommand imports the modules it runs when it runs, so a command
+line process loads no more of the package than its command needs.
 """
 
 from __future__ import annotations
@@ -16,42 +18,45 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from importlib import import_module
 
-from .bitmap import render_pbm
-
-# Rendering no longer calls these, but the traced benchmark run
-# (perfbench/tracing.py) installs timing shims under these names.
-from .bitmap import render_generation, write_pbm  # noqa: F401
-from .dfao import coords_by_letters, dfao_from_text, dfao_to_text, eval_dfao, hilbert_dfao
-from .linrep import (
-    eval_linrep,
-    hilbert_linrep,
-    hilbert_step_rep,
-    linrep_from_text,
-    linrep_to_text,
-)
 from .oracle import Direction, GenerationBudgetError, hc_prefix
-from .sync import (
-    hilbert_sync,
-    lookup_paths,
-    sync_coords,
-    sync_from_text,
-    sync_locate,
-    sync_to_text,
-)
-from .verify import format_report, verify_cross, verify_identities, verify_sync_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# kind -> the package exports that give its built-in machine, loader and serializer
 _MACHINES = {
-    "dfao": (hilbert_dfao, dfao_from_text, dfao_to_text),
-    "linrep": (hilbert_linrep, linrep_from_text, linrep_to_text),
-    "steprep": (hilbert_step_rep, linrep_from_text, linrep_to_text),
-    "sync": (hilbert_sync, sync_from_text, sync_to_text),
+    "dfao": ("hilbert_dfao", "dfao_from_text", "dfao_to_text"),
+    "linrep": ("hilbert_linrep", "linrep_from_text", "linrep_to_text"),
+    "steprep": ("hilbert_step_rep", "linrep_from_text", "linrep_to_text"),
+    "sync": ("hilbert_sync", "sync_from_text", "sync_to_text"),
 }
+
+# The traced benchmark run (perfbench/tracing.py) installs timing shims under these
+# names in this module; until one is installed, a name resolves to the package export.
+_HOOKED = ("render_generation", "write_pbm", "verify_identities", "verify_sync_suite", "verify_cross")
+
+
+def _exported(name: str):
+    """The package's export ``name``; only its defining module is imported."""
+    return getattr(import_module(__package__), name)
+
+
+def __getattr__(name: str):
+    if name not in _HOOKED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _exported(name)
+
+
+def _hooked(name: str):
+    """``name`` as bound where this code runs, so an installed shim is found, else its original.
+
+    ``globals()`` is that namespace also under ``runpy``, where ``sys.modules[__name__]`` may not be.
+    """
+    return globals().get(name) or _exported(name)
 
 
 def _parse_index(args: argparse.Namespace) -> int:
@@ -127,6 +132,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _cmd_dir(args) -> int:
+    from .dfao import eval_dfao, hilbert_dfao
     n = _parse_index(args)
     letter = eval_dfao(hilbert_dfao(), n)
     print(f"{letter.name} {int(letter)}")
@@ -140,21 +146,26 @@ def _cmd_coords(args) -> int:
         x = word.count(Direction.R) - word.count(Direction.L)
         y = word.count(Direction.U) - word.count(Direction.D)
     elif args.method == "dfao":
+        from .dfao import coords_by_letters, hilbert_dfao
         x, y = coords_by_letters(hilbert_dfao(), n)
     elif args.method == "linrep":
+        from .linrep import eval_linrep, hilbert_linrep
         x, y = eval_linrep(hilbert_linrep(), n)
     else:
+        from .sync import hilbert_sync, sync_coords
         x, y = sync_coords(hilbert_sync(), n)
     print(f"{x} {y}")
     return EXIT_OK
 
 
 def _cmd_locate(args) -> int:
+    from .sync import hilbert_sync, sync_locate
     print(sync_locate(hilbert_sync(), args.x, args.y))
     return EXIT_OK
 
 
 def _cmd_render(args) -> int:
+    from .bitmap import render_pbm
     chunks = render_pbm(args.g)  # a refused stage raises here, before the file is opened
     with open(args.output, "wb") as handle:
         handle.writelines(chunks)
@@ -162,27 +173,29 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .sync import sync_from_text
+    from .verify import format_report
     machine = None
     if args.sync_file:
         with open(args.sync_file, encoding="ascii") as handle:
             machine = sync_from_text(handle.read())
     reports = []
-    reports.extend(verify_identities(args.gen_bound))
-    reports.extend(verify_sync_suite(args.digit_bound, machine=machine))
-    reports.extend(verify_cross(args.cross_bound))
+    reports.extend(_hooked("verify_identities")(args.gen_bound))
+    reports.extend(_hooked("verify_sync_suite")(args.digit_bound, machine=machine))
+    reports.extend(_hooked("verify_cross")(args.cross_bound))
     for report in sorted(reports, key=lambda r: r.name):
         print(format_report(report))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 
 def _cmd_export(args) -> int:
-    built_in, _, store = _MACHINES[args.kind]
+    built_in, _, store = map(_exported, _MACHINES[args.kind])
     _write_output(store(built_in()), args.output)
     return EXIT_OK
 
 
 def _cmd_import(args) -> int:
-    _, load, store = _MACHINES[args.kind]
+    _, load, store = map(_exported, _MACHINES[args.kind])
     with open(args.path, encoding="ascii") as handle:
         machine = load(handle.read())
     _write_output(store(machine), args.output)
@@ -190,6 +203,8 @@ def _cmd_import(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .linrep import eval_linrep, hilbert_linrep
+    from .sync import hilbert_sync, lookup_paths, sync_coords
     n0 = 4 ** 30
     rep = hilbert_linrep()
     machine = hilbert_sync()

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
 
 from .dfao import Dfao, explore, require_base, to_base
 from .oracle import STEP
 from .ratmat import SpanBasis, identity, mat_mul, mat_vec, matrix, transpose, vec_mat, vector
-from .textfmt import ParseError, format_scalar, parse_index, parse_int, parse_scalar, read_text, require_all
+from .textfmt import ParseError, parse_index, parse_int, read_text, require_all
 
 
 class NonFunctionalTransducerError(ValueError):
@@ -500,6 +501,21 @@ def guess_linrep(prefix, k: int, depth: int) -> GuessedLinearRep:
     return GuessedLinearRep(LinearRep(base=k, v=v, gamma=gamma, w=w), tuple(spanning))
 
 
+def parse_scalar(token: str, lineno: int):
+    """Parse an exact scalar: a plain integer or a p/q rational."""
+    try:
+        value = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(lineno, f"expected integer or rational, got {token!r}") from None
+    return int(value) if value.denominator == 1 else value
+
+
+def format_scalar(value) -> str:
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return f"{value.numerator}/{value.denominator}"
+    return str(int(value))
+
+
 def linrep_to_text(rep: LinearRep) -> str:
     """Serialize to the canonical text form."""
     lines = [f"linrep base={rep.base} out={rep.out_dim} rank={rep.rank}"]
@@ -520,6 +536,11 @@ def linrep_from_text(text: str) -> LinearRep:
     base = parse_int(fields["base"], header_line, "base")
     out_dim = parse_int(fields["out"], header_line, "output dimension")
     rank = parse_int(fields["rank"], header_line, "rank")
+    if rank == 0 and out_dim > len(body) + 1:
+        # rank-0 rows are empty and have no line, so the file lists nothing to bound them by
+        # but its own length: restoring them may cost no more than reading the file
+        raise ParseError(header_line, f"rank-0 output dimension {out_dim} exceeds "
+                                      f"the file's {len(body) + 1} lines")
 
     shapes = {"v": (out_dim, rank), "gamma": (rank, rank), "w": (rank, 1)}  # (rows, width) by kind
     sections: dict[str, list] = {}

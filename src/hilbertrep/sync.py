@@ -28,6 +28,7 @@ Transitions not listed are dead; the dead state is implicit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -428,6 +429,8 @@ def sync_from_text(text: str) -> SyncAutomaton:
     bases = tuple(parse_int(tok, header_line, "base") for tok in fields["bases"].split(","))
     if len(bases) != 3:
         raise ParseError(header_line, f"expected three bases, got {fields['bases']!r}")
+    for base in bases:
+        require_base(base)
     count = parse_int(fields["states"], header_line, "state count")
     initial = parse_int(fields["initial"], header_line, "initial state")
     accepting = frozenset(
@@ -446,5 +449,11 @@ def sync_from_text(text: str) -> SyncAutomaton:
         transitions[(q, triple)] = target
     named = {initial, *accepting, *(q for q, _ in transitions), *transitions.values()}
     require_all(range(count), named, header_line, "states")
+    # the lookup tables hold a column per index digit and per coordinate digit pair:
+    # each must be read by an arc, so the bases cannot size them beyond what the file lists
+    triples = {triple for _, triple in transitions}
+    require_all(range(bases[0]), {i for i, _, _ in triples}, header_line, "index digits")
+    require_all(product(range(bases[1]), range(bases[2])), {(j, k) for _, j, k in triples},
+                header_line, "coordinate digit pairs")
     return SyncAutomaton(bases=bases, state_count=count, initial=initial,
                          accepting=accepting, transitions=transitions)

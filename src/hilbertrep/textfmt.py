@@ -11,7 +11,6 @@ their size is bounded by the entries the file lists, not by its header.
 from __future__ import annotations
 
 from collections.abc import Container, Iterable
-from fractions import Fraction
 from itertools import islice
 
 
@@ -84,18 +83,3 @@ def require_all(expected: Iterable, present: Container, lineno: int, what: str) 
     missing = list(islice((entry for entry in expected if entry not in present), 4))
     if missing:
         raise ParseError(lineno, f"missing {what} {missing}")
-
-
-def parse_scalar(token: str, lineno: int):
-    """Parse an exact scalar: a plain integer or a p/q rational."""
-    try:
-        value = Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(lineno, f"expected integer or rational, got {token!r}") from None
-    return int(value) if value.denominator == 1 else value
-
-
-def format_scalar(value) -> str:
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value))

@@ -221,6 +221,11 @@ _HUGE_FILES = {
     "huge.dfao": f"dfao base=4 states={10**40} initial=0\n",
     "huge.linrep": f"linrep base={10**40} out=1 rank=1\n",
     "huge.sync": "sync bases=4,2,2 states=100000000 initial=0 accepting=0\n0 [0,0,0] -> 0\n",
+    # one state reading every index digit, but bx * by = 1.6e9 coordinate digit pairs
+    "bases.sync": "sync bases=4,40000,40000 states=1 initial=0 accepting=0\n"
+                  + "".join(f"0 [{d},0,0] -> 0\n" for d in range(4)),
+    # a rank-0 v section has no lines, so only the header gives its row count
+    "rank0.linrep": "linrep base=4 out=1000000000 rank=0\nv\ngamma 0\ngamma 1\ngamma 2\ngamma 3\nw\n",
 }
 
 # main() in a child capped at 1 GiB of address space: a parser that allocates by
@@ -233,19 +238,29 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("name, missing", [
-    ("huge.dfao", "output for states [0, 1, 2, 3]"),
-    ("huge.linrep", "sections ['v', 'gamma 0', 'gamma 1', 'gamma 2']"),
-    ("huge.sync", "states [1, 2, 3, 4]"),
-])
-def test_import_of_a_header_only_file_names_the_first_four_missing(tmp_path, name, missing):
+def _import_capped(tmp_path, name):
+    """(exit code, stdout, stderr) of ``import`` of one of _HUGE_FILES in the capped child."""
     path = tmp_path / name
     path.write_text(_HUGE_FILES[name])
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, "import", path.suffix[1:], str(path)],
                             capture_output=True, text=True, env=env, timeout=60)
-    assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr == f"error: line 1: missing {missing}\n"
+    return result.returncode, result.stdout, result.stderr
+
+
+@pytest.mark.parametrize("name, missing", [
+    ("huge.dfao", "output for states [0, 1, 2, 3]"),
+    ("huge.linrep", "sections ['v', 'gamma 0', 'gamma 1', 'gamma 2']"),
+    ("huge.sync", "states [1, 2, 3, 4]"),
+    ("bases.sync", "coordinate digit pairs [(0, 1), (0, 2), (0, 3), (0, 4)]"),
+])
+def test_import_of_a_header_only_file_names_the_first_four_missing(tmp_path, name, missing):
+    assert _import_capped(tmp_path, name) == (2, "", f"error: line 1: missing {missing}\n")
+
+
+def test_import_of_a_rank_zero_linrep_restores_no_more_rows_than_the_file_has_lines(tmp_path):
+    message = "error: line 1: rank-0 output dimension 1000000000 exceeds the file's 7 lines\n"
+    assert _import_capped(tmp_path, "rank0.linrep") == (2, "", message)
 
 
 def test_bench_reports_both_methods(capsys):

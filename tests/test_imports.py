@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses, and rendering imports no more than it needs.
+"""No module of the package imports a name it never uses, and a command loads no more than it runs.
 
 No linter is assumed: each module is parsed with ``ast``, and an imported
 name counts as used when it appears as a name anywhere in the module.
@@ -6,9 +6,15 @@ Imports kept only for the traced benchmark run carry ``# noqa: F401``.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import hilbertrep
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hilbertrep"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -66,3 +72,68 @@ def test_bitmap_imports_neither_linrep_nor_verify():
     imported = package_imports("bitmap")
     assert {"dfao", "oracle", "sync"} <= imported
     assert not imported & {"linrep", "verify"}
+
+
+# Runs the command line given as arguments, or with none only imports the package, then
+# prints the package modules and the decimal modules loaded; it imports nothing of the
+# package itself, and runpy runs the command line as ``python -m hilbertrep.cli`` would.
+_LAUNCHER = """
+import runpy, sys
+if len(sys.argv) > 1:
+    sys.argv[0] = "hilbertrep"
+    try:
+        runpy.run_module("hilbertrep.cli", run_name="__main__")
+    except SystemExit as stop:
+        assert stop.code == 0, stop.code
+else:
+    import hilbertrep
+print(*sorted(name for name in sys.modules if name.partition(".")[0] in {"hilbertrep", "fractions", "decimal"}))
+"""
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], capture_output=True, text=True,
+                            env=env, timeout=60, check=True)
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_package_loads_no_module():
+    assert loaded_modules() == {"hilbertrep"}
+
+
+def test_render_loads_only_the_sync_machine_and_the_bitmap(tmp_path):
+    expected = {"hilbertrep"} | {f"hilbertrep.{name}" for name in ("bitmap", "dfao", "oracle", "sync", "textfmt")}
+    assert loaded_modules("render", "1", "-o", str(tmp_path / "stage.pbm")) == expected
+
+
+@pytest.mark.parametrize("argv", [("export", "sync"), ("locate", "3", "4")], ids=" ".join)
+def test_sync_commands_load_neither_linrep_nor_verify(argv):
+    assert not loaded_modules(*argv) & {"hilbertrep.linrep", "hilbertrep.ratmat", "hilbertrep.verify"}
+
+
+# the names the package exported when it imported every module eagerly
+EXPORTS = set("""
+    Bitmap bitmap_dfao count_lit render_from_walk render_generation render_pbm write_pbm
+    Dfao coords_by_letters dfao_equal dfao_from_text dfao_to_text dfao_walk eval_dfao
+    eval_dfao_digits from_base hilbert_dfao to_base
+    GuessedLinearRep InsufficientDataError LinearRep NonFunctionalTransducerError
+    StateBudgetExceededError Transducer difference_rep eval_linrep eval_linrep_digits
+    guess_linrep hilbert_linrep hilbert_step_rep increment_transducer linrep_from_text
+    linrep_to_text linrep_walk minimize_rep semigroup_trick transduce_rep transducer_outputs
+    DEFAULT_MAX_GENERATION Coding Direction GenerationBudgetError NegativeCoordinateError
+    Point STEP apply_coding generate_generation hc_prefix recode walk word_from_str word_to_str
+    MultipleAcceptingPathsError NoAcceptingPathError SyncAutomaton accepts hilbert_sync
+    lookup_paths sync_coords sync_from_text sync_locate sync_locate_walk sync_to_text sync_walk
+    ParseError VerifyReport format_report verify_cross verify_identities verify_sync_suite
+""".split())
+
+
+def test_package_exports_resolve_to_their_defining_modules():
+    assert len(hilbertrep.__all__) == len(EXPORTS) and set(hilbertrep.__all__) == EXPORTS
+    for name in hilbertrep.__all__:
+        module = importlib.import_module(f"hilbertrep.{hilbertrep._MODULE_OF[name]}")
+        assert getattr(hilbertrep, name) is getattr(module, name), name
+    assert EXPORTS <= set(dir(hilbertrep))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(hilbertrep, "no_such_name")

@@ -325,3 +325,5 @@ def test_text_parse_errors():
         sync_from_text("sync bases=4,2 states=10 initial=0 accepting=0\n")
     with pytest.raises(ValueError, match="base must be at least 2, got 1"):
         sync_from_text("sync bases=4,1,2 states=1 initial=0 accepting=0\n")
+    with pytest.raises(ParseError, match=r"^line 1: missing index digits \[1, 2, 3\]$"):
+        sync_from_text("sync bases=4,2,2 states=1 initial=0 accepting=0\n0 [0,0,0] -> 0\n")
