@@ -212,7 +212,8 @@ def _cmd_bench(args) -> int:
         "linrep": lambda i: eval_linrep(rep, n0 + i),
         "sync": lambda i: sync_coords(machine, n0 + i),
     }
-    suffix = {"sync": f" path={lookup_paths(machine)['coords']}"}
+    suffix = {"linrep": f" digits_per_step={rep.block_width}",
+              "sync": f" path={lookup_paths(machine)['coords']}"}
     for name, query in runs.items():
         query(0)  # warm up
         start = time.perf_counter()

@@ -6,11 +6,12 @@ A linear representation computes a vector value for each index n as
 
 where d_1 ... d_t are the base-k digits of n, most significant first,
 v is an out_dim x rank matrix, each gamma(d) is a rank x rank matrix and
-w is a rank column vector.  Evaluation reads the digits two at a time,
-from the least significant end, through the products gamma(a) . gamma(b)
-(a k-regular sequence is also k^2-regular): one small matrix-vector
-product per digit pair, i.e. time linear in the number of digits of n.
-All entries are exact (ints or Fractions); nothing here rounds.
+w is a rank column vector.  Evaluation reads the digits b at a time, from
+the least significant end, through the block products gamma(d_1) ...
+gamma(d_b) (a k-regular sequence is also k^b-regular), b the widest block
+with k^b <= 256: one small matrix-vector product per block, i.e. time
+linear in the number of digits of n.  All entries are exact (ints or
+Fractions); nothing here rounds.
 
 The module provides the reference rank-5 representation of the coordinate
 pair sequence, a transducer-composition construction (feeding a
@@ -23,13 +24,14 @@ candidate representations.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
 
-from .dfao import Dfao, explore, require_base, to_base
+from .dfao import Dfao, explore, from_base, require_base
 from .oracle import STEP
 from .ratmat import SpanBasis, identity, mat_mul, mat_vec, matrix, transpose, vec_mat, vector
 from .textfmt import ParseError, parse_index, parse_int, read_text, require_all
@@ -79,10 +81,50 @@ class LinearRep:
     def out_dim(self) -> int:
         return len(self.v)
 
+    @property
+    def block_width(self) -> int:
+        """Digits read per evaluation step: the largest b >= 1 with base**b <= 256."""
+        width = 1
+        while self.base ** (width + 1) <= _BLOCK_VALUES:
+            width += 1
+        return width
+
     @cached_property
-    def _pairs(self) -> tuple:
-        """``_pairs[a][b]`` is gamma(a) . gamma(b); built on first evaluation."""
-        return tuple(tuple(mat_mul(ga, gb) for gb in self.gamma) for ga in self.gamma)
+    def _places(self) -> tuple[int, ...]:
+        """The place values 1, k, ..., k**b, b the block width."""
+        return tuple(self.base**i for i in range(self.block_width + 1))
+
+    @cached_property
+    def _blocks(self) -> tuple:
+        """``_blocks[r][m]`` is gamma(d_1) ... gamma(d_r) for the r-digit block of value m.
+
+        Width one is gamma itself; a wider product is built on its first read,
+        so a representation holds at most k**2 + ... + k**b of them.
+        """
+        blocks = (None, self.gamma)
+        for place in self._places[1:-1]:
+            blocks += (_BlockProducts(self.gamma, blocks[-1], place),)
+        return blocks
+
+
+_BLOCK_VALUES = 256  # the widest block spans at most this many values, which bounds the memo
+
+
+class _BlockProducts(dict):
+    """Products of one block width r >= 2, keyed by block value, each built on first read.
+
+    A missing block d_1 ... d_r is gamma(d_1) times the product of its
+    (r-1)-digit suffix, whose value is below ``place`` = k**(r-1).
+    """
+
+    def __init__(self, gamma, narrower, place: int):
+        super().__init__()
+        self.gamma, self.narrower, self.place = gamma, narrower, place
+
+    def __missing__(self, value: int):
+        lead, rest = divmod(value, self.place)
+        product = self[value] = mat_mul(self.gamma[lead], self.narrower[rest])
+        return product
 
 
 @dataclass(frozen=True)
@@ -164,29 +206,37 @@ def hilbert_step_rep() -> LinearRep:
 
 
 def eval_linrep(rep: LinearRep, n: int) -> tuple:
-    """Value at index n: ``eval_linrep_digits`` on the canonical base-k digits of n."""
-    return eval_linrep_digits(rep, to_base(n, rep.base))
+    """Value at index n, read on the canonical base-k digits of n."""
+    if n < 0:
+        raise ValueError(f"cannot represent negative value {n}")
+    return _eval(rep, n, 1)
 
 
 def eval_linrep_digits(rep: LinearRep, digits) -> tuple:
-    """Value on an explicit digit string (leading zeros allowed).
-
-    The string is read two digits per step from its least significant end,
-    one matrix-vector product with gamma(a) . gamma(b) per pair.  An odd
-    leading digit is applied alone: padding it with a zero would be wrong
-    for representations whose gamma(0) does not fix v.
-    """
+    """Value on an explicit digit string (leading zeros allowed)."""
     digits = tuple(digits)
-    low = min(digits, default=0)
-    if low < 0:  # a negative index would silently read from the end of the table
-        raise ValueError(f"digit {low} out of range for base {rep.base}")
-    pairs = rep._pairs
+    return _eval(rep, from_base(digits, rep.base), len(digits))
+
+
+def _eval(rep: LinearRep, n: int, length: int) -> tuple:
+    """v . gamma(d_1) ... gamma(d_t) . w on the digits of n, led by zeros up to ``length`` digits.
+
+    Blocks of b digits come off n from its least significant end, one
+    matrix-vector product with a block product each.  The leading block
+    keeps its own width, 1 to b digits: padding it with zeros would be
+    wrong for representations whose gamma(0) does not fix v.
+    """
+    places, blocks = rep._places, rep._blocks
+    width = len(places) - 1
+    step, full = places[width], blocks[width]
     col = rep.w
-    odd = len(digits) % 2
-    for i in range(len(digits) - 2, odd - 1, -2):
-        col = mat_vec(pairs[digits[i]][digits[i + 1]], col)
-    if odd:
-        col = mat_vec(rep.gamma[digits[0]], col)
+    while length > width or n >= step:
+        n, low = divmod(n, step)
+        col = mat_vec(full[low], col)
+        length -= width
+    lead = max(length, bisect_right(places, n))  # n's own digit count, or the padded length
+    if lead:
+        col = mat_vec(blocks[lead][n], col)
     return mat_vec(rep.v, col)
 
 

@@ -269,6 +269,7 @@ def test_bench_reports_both_methods(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("method=linrep n=4**30 queries=10 per_query_us=")
+    assert lines[0].endswith(" digits_per_step=4")
     assert lines[1].startswith("method=sync n=4**30 queries=10 per_query_us=")
     assert lines[1].endswith(" path=table")
 

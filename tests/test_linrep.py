@@ -83,6 +83,9 @@ def test_eval_ignores_leading_zeros():
     assert eval_linrep_digits(rep, (0, 0, 2, 1)) == eval_linrep(rep, 9)
     with pytest.raises(ValueError, match="digit -1 out of range for base 4"):
         eval_linrep_digits(rep, (-1,))
+    for digits in ((4,), (1, 4), (4, 1, 0)):
+        with pytest.raises(ValueError, match="digit 4 out of range for base 4"):
+            eval_linrep_digits(rep, digits)
 
 
 def _reference_eval(rep, digits):
@@ -115,25 +118,63 @@ def _equivalence_reps():
                                      w=(1, t)),
         # gamma(0) doubles, so every leading zero counts: no zero padding allowed
         "leading_zeros_count": LinearRep(base=4, v=((1,),), gamma=(((2,),),) + (((1,),),) * 3, w=(1,)),
+        # eight digits per step; gamma(0) does not fix v either
+        "fractions_base2": LinearRep(base=2, v=((1, h), (0, 1)),
+                                     gamma=(((1, 1), (0, 2)), ((t, 0), (1, -1))), w=(h, 1)),
+        # one digit per step, so nothing is built beyond gamma
+        "base17": LinearRep(base=17, v=((1, 0, 1),),
+                            gamma=tuple(((d, 1, 0), (0, 1, -d), (1, 0, d % 3)) for d in range(17)),
+                            w=(1, 2, 0)),
     }
+
+
+def _stored_blocks(rep):
+    """(width, value) of every block product the representation has built."""
+    return {(r, m) for r, memo in enumerate(vars(rep)["_blocks"][2:], 2) for m in memo}
+
+
+def _reference_block(rep, r, m):
+    """gamma(d_1) ... gamma(d_r) for the r digits of m, as nested lists."""
+    product = [[int(i == j) for j in range(rep.rank)] for i in range(rep.rank)]
+    for i in reversed(range(r)):
+        g = rep.gamma[m // rep.base**i % rep.base]
+        product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*g)] for row in product]
+    return product
 
 
 def test_pairwise_eval_matches_per_digit_reference():
     """Same values and element types as one product per digit, on every rep."""
     rng = random.Random(3)
     for name, rep in _equivalence_reps().items():
-        assert "_pairs" not in vars(rep), name  # built on first evaluation only
+        assert "_blocks" not in vars(rep), name  # built on first evaluation only
         k = rep.base
         for n in list(range(4**5)) + [rng.randrange(4**199, 4**200) for _ in range(3)]:
             got, want = eval_linrep(rep, n), _reference_eval(rep, to_base(n, k))
             assert got == want and list(map(type, got)) == list(map(type, want)), (name, n)
         strings = [d for length in range(4) for d in itertools.product(range(k), repeat=length)]
         strings += [tuple(rng.randrange(k) for _ in range(length))
-                    for length in range(4, 9) for _ in range(20)]
+                    for length in range(4, 14) for _ in range(20)]
         for digits in strings:
             got, want = eval_linrep_digits(rep, digits), _reference_eval(rep, digits)
             assert got == want and list(map(type, got)) == list(map(type, want)), (name, digits)
-        assert len(vars(rep)["_pairs"]) == k
+        stored = _stored_blocks(rep)
+        assert len(stored) <= sum(k**r for r in range(2, rep.block_width + 1)), name
+        for r, m in stored:
+            assert list(map(list, rep._blocks[r][m])) == _reference_block(rep, r, m), (name, r, m)
+
+
+def test_eval_builds_only_the_blocks_it_reads():
+    rep = hilbert_linrep()
+    assert rep.block_width == 4
+    eval_linrep(rep, 4**9 + 5)  # digits 10 0000 0011: blocks 0011, 0000 and the leading 10
+    assert _stored_blocks(rep) == {(4, 5), (3, 5), (2, 5), (4, 0), (3, 0), (2, 0), (2, 4)}
+    k = 1500  # one digit per step: a lookup builds no product at all
+    text = linrep_to_text(LinearRep(base=k, v=((1,),), gamma=tuple(((d,),) for d in range(k)), w=(1,)))
+    rep = linrep_from_text(text)
+    assert len(text) > 15000 and rep.block_width == 1
+    assert eval_linrep(rep, 1499 * k**2 + 7 * k + 3) == (1499 * 7 * 3,)
+    assert eval_linrep_digits(rep, (0, 2)) == (0,)
+    assert _stored_blocks(rep) == set()
 
 
 def test_walk_matches_per_index_lookups():
@@ -142,6 +183,8 @@ def test_walk_matches_per_index_lookups():
     reps["rank_0"] = LinearRep(base=4, v=((), ()), gamma=((),) * 4, w=())
     for name, rep in reps.items():
         for t in range(6):
+            if rep.base**t > 4**5:
+                break
             got = linrep_walk(rep, t)
             want = [eval_linrep(rep, n) for n in range(rep.base**t)]
             assert got == want, (name, t)
@@ -388,6 +431,8 @@ def _construct_results():
 
     minimized = {}
     for name, rep in _equivalence_reps().items():
+        if rep.base not in (3, 4):  # construct.out records the base-3 and base-4 reps
+            continue
         record(f"minimize_rep {name}", lambda: minimized.setdefault(name, minimize_rep(rep)), linrep_to_text)
     for name, rep in minimized.items():
         record(f"semigroup_trick {name}", lambda: semigroup_trick(rep), dfao_to_text)
