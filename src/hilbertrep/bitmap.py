@@ -27,7 +27,6 @@ over the packed binary variant so golden files diff cleanly.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice
@@ -82,13 +81,11 @@ def _successor_moves(k: int) -> dict[tuple[int, int, int], int]:
 def _tracks(machine: SyncAutomaton):
     """The lattice, right-connector and up-connector automata over point bit pairs."""
     bn, bx, by = machine.bases
-    arcs = defaultdict(list)  # (state, x digit, y digit) -> [(index digit, target)]
-    for (q, (i, j, k)), target in machine.transitions.items():
-        arcs[q, j, k].append((i, target))
+    arcs = machine._locate.arcs  # arcs[state][x digit * by + y digit]: [(index digit, target)]
     final = machine.accepting.__contains__
 
     def on_curve(q, s):
-        return [target for _, target in arcs[(q, *divmod(s, by))]]
+        return [target for _, target in arcs[q].get(s, ())]
 
     lattice = determinize({machine.initial}, on_curve, final, bx * by)
     n_moves = _successor_moves(bn)
@@ -100,15 +97,15 @@ def _tracks(machine: SyncAutomaton):
         def step(state, s):
             q, q2, c, m, sign = state
             point = divmod(s, by)
-            here = arcs[(q, *point)]
+            here = arcs[q].get(s, ())
             out = []
             for d2 in range((bx, by)[axis]):  # the neighbour's digit on the axis
                 c2 = c_moves.get((c, point[axis], d2))
                 if c2 is None:
                     continue
-                other = (d2, point[1]) if axis == 0 else (point[0], d2)
+                other = d2 * by + point[1] if axis == 0 else point[0] * by + d2
                 for i, t in here:
-                    for i2, t2 in arcs[(q2, *other)]:
+                    for i2, t2 in arcs[q2].get(other, ()):
                         m2 = n_moves.get((m, i, i2) if sign > 0 else (m, i2, i))
                         if m2 is not None:
                             out.append((t, t2, c2, m2, sign))

@@ -110,12 +110,8 @@ def hilbert_dfao() -> Dfao:
     return Dfao(base=4, transitions=_HILBERT_TRANSITIONS, outputs=_HILBERT_OUTPUTS)
 
 
-def eval_dfao_digits(machine: Dfao, digits) -> Hashable:
-    """Output after running the machine on an explicit digit string."""
-    digits = tuple(digits)
-    low = min(digits, default=0)
-    if low < 0:  # a negative index would silently read from the end of a row
-        raise ValueError(f"digit {low} out of range for base {machine.base}")
+def _run(machine: Dfao, digits) -> Hashable:
+    """Output after reading ``digits``, every one of which is below the base."""
     state = machine.initial
     transitions = machine.transitions
     for digit in digits:
@@ -123,9 +119,18 @@ def eval_dfao_digits(machine: Dfao, digits) -> Hashable:
     return machine.outputs[state]
 
 
+def eval_dfao_digits(machine: Dfao, digits) -> Hashable:
+    """Output on an explicit digit string; a digit out of range raises ValueError."""
+    digits = tuple(digits)
+    bad = next((d for d in digits if not 0 <= d < machine.base), None)
+    if bad is not None:
+        raise ValueError(f"digit {bad} out of range for base {machine.base}")
+    return _run(machine, digits)
+
+
 def eval_dfao(machine: Dfao, n: int) -> Hashable:
     """Output for index n, read from its canonical base-``machine.base`` digits."""
-    return eval_dfao_digits(machine, to_base(n, machine.base))
+    return _run(machine, to_base(n, machine.base))
 
 
 def dfao_walk(machine: Dfao, t: int) -> list[Hashable]:

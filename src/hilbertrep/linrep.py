@@ -25,8 +25,7 @@ candidate representations.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
@@ -141,6 +140,8 @@ class Transducer:
     initial: int
     final: frozenset[int]
     moves: frozenset[tuple[int, int, tuple[int, ...], int]]
+    # (source, input digit) -> [(output word, target)], sorted; derived, so neither compared nor shown
+    _moves_on: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_base(self.base)
@@ -155,6 +156,9 @@ class Transducer:
                 raise ValueError(f"move input digit {digit} out of range for base {self.base}")
             if any(not 0 <= d < self.base for d in out):
                 raise ValueError(f"move output {out} has digits out of range")
+        object.__setattr__(self, "_moves_on", {})
+        for src, digit, out, dst in sorted(self.moves):
+            self._moves_on.setdefault((src, digit), []).append((out, dst))
 
 
 def hilbert_linrep() -> LinearRep:
@@ -290,19 +294,13 @@ def increment_transducer(k: int) -> Transducer:
                       final=frozenset({carry}), moves=frozenset(moves))
 
 
-def _adjacency(trans: Transducer):
-    adj = defaultdict(list)
-    for src, digit, out, dst in sorted(trans.moves):
-        adj[(src, digit)].append((out, dst))
-    return adj
-
-
 def transducer_outputs(trans: Transducer, digits) -> list[tuple[int, ...]]:
     """Outputs of all accepting paths on ``digits``, one entry per path."""
-    adj = _adjacency(trans)
+    moves_on = trans._moves_on
     paths = [(trans.initial, ())]
     for digit in digits:
-        paths = [(dst, emitted + out) for state, emitted in paths for out, dst in adj[(state, digit)]]
+        paths = [(dst, emitted + out) for state, emitted in paths
+                 for out, dst in moves_on.get((state, digit), ())]
     return [emitted for state, emitted in paths if state in trans.final]
 
 
@@ -323,7 +321,7 @@ def check_functional(trans: Transducer) -> None:
     directly; the error names the shortest such input that comes first
     in digit order.
     """
-    adj = _adjacency(trans)
+    moves_on = trans._moves_on
     start = (trans.initial, trans.initial, False)
     prefix = {start: ()}  # a shortest input reaching each (state, state, parted)
     order = [start]
@@ -331,8 +329,8 @@ def check_functional(trans: Transducer) -> None:
         if parted and p in trans.final and q in trans.final:
             raise NonFunctionalTransducerError(f"input {prefix[p, q, parted]} has multiple accepting paths")
         for digit in range(trans.base):
-            for move in adj[(p, digit)]:
-                for other in adj[(q, digit)]:
+            for move in moves_on.get((p, digit), ()):
+                for other in moves_on.get((q, digit), ()):
                     target = (move[1], other[1], parted or (p, move) != (q, other))
                     if target not in prefix:
                         prefix[target] = prefix[p, q, parted] + (digit,)

@@ -9,18 +9,20 @@ and the index from coordinates, in time linear in the digit count.
 
 Each lookup direction fixes some digits (the index digit for coordinates,
 the coordinate bits for the index) and chooses the rest.  When a machine
-is built, each direction is checked once: if the number of accepted
-completions of r further steps from every state is 0 or 1, independent
-of the fixed digits, and depends on r only through its parity, then a
-table keyed by (parity of the digits left, state, fixed digits) names the
-one arc that can still reach acceptance, and a lookup is a single forward
-pass.  ``sync_walk`` runs the coordinate table over all indices of a
-digit count at once, and ``sync_locate_walk`` the locate table over all
-grid points, reading each shared prefix once.  The Hilbert
-machine passes in both directions.  A machine that fails (an imported or
-corrupted one) is answered by a layered search that counts accepted
-completions per digit position and state, which also reports ambiguous
-lookups.
+is built, its arcs are indexed once per direction, each state mapping
+only the symbols it reads, so the index is as large as the transition
+list; the automatic bitmap reads the same index.  Each direction is then
+checked: if the number of accepted completions of r further steps from
+every state is 0 or 1, independent of the fixed digits, and depends on r
+only through its parity, then a table keyed by (parity of the digits
+left, state, fixed digits) names the one arc that can still reach
+acceptance, and a lookup is a single forward pass.  ``sync_walk`` runs
+the coordinate table over all indices of a digit count at once, and
+``sync_locate_walk`` the locate table over all grid points, reading each
+shared prefix once.  The Hilbert machine passes in both directions.  A
+machine that fails (an imported or corrupted one) is answered by a
+layered search that counts accepted completions per digit position and
+state, which also reports ambiguous lookups.
 
 Transitions not listed are dead; the dead state is implicit.
 """
@@ -50,11 +52,12 @@ class MultipleAcceptingPathsError(ValueError):
 class _Lookup(NamedTuple):
     """One lookup direction of a machine.
 
-    ``arcs[q][s]`` lists the (output, target) arcs leaving state q whose
-    fixed digits encode to symbol s.  When the parity check passed,
-    ``live[r & 1][q]`` is the number (0 or 1) of accepted completions of r
-    further steps from q, and ``table[r & 1][q][s]`` is the one arc on
-    symbol s into a state with ``live[r & 1]`` set, or None; otherwise both
+    ``arcs[q]`` maps each symbol that state q reads (its fixed digits
+    encoded) to the (output, target) arcs on it.  When the parity check
+    passed, ``live[r & 1][q]`` is the number (0 or 1) of accepted
+    completions of r further steps from q, and ``table[r & 1][q][s]`` is
+    the one arc on symbol s into a state with ``live[r & 1]`` set, or None;
+    a state missing a symbol is dead, and its row is None.  Otherwise both
     are None and lookups use the search.
     """
 
@@ -63,19 +66,21 @@ class _Lookup(NamedTuple):
     table: tuple | None
 
 
-def _live_step(arcs, live):
+def _live_step(arcs, symbols: int, live):
     """Completion counts one step further back, or None unless each is 0 or 1 for every symbol."""
     result = []
     for per_state in arcs:
-        sums = {sum(live[target] for _, target in per_symbol) for per_symbol in per_state}
+        sums = {sum(live[target] for _, target in per_symbol) for per_symbol in per_state.values()}
+        if len(per_state) < symbols:
+            sums.add(0)  # an unread symbol has no completion
         if len(sums) != 1 or not sums <= {0, 1}:
             return None
         result.append(sums.pop())
     return tuple(result)
 
 
-def _lookup(arcs, accepting: frozenset[int]) -> _Lookup:
-    """Derive the parity table for ``arcs``, or leave it out when the check fails.
+def _lookup(arcs, symbols: int, accepting: frozenset[int]) -> _Lookup:
+    """Derive the parity table over ``symbols`` symbols, or leave it out when the check fails.
 
     Starting from the accepting indicator live0, one step gives live1 and
     a second must give live0 again; with the per-step check this proves by
@@ -83,13 +88,13 @@ def _lookup(arcs, accepting: frozenset[int]) -> _Lookup:
     live0 or live1 by the parity of r, whatever the fixed digits are.
     """
     live0 = tuple(int(q in accepting) for q in range(len(arcs)))
-    live1 = _live_step(arcs, live0)
-    if live1 is None or _live_step(arcs, live1) != live0:
+    live1 = _live_step(arcs, symbols, live0)
+    if live1 is None or _live_step(arcs, symbols, live1) != live0:
         return _Lookup(arcs, None, None)
     live = (live0, live1)
     table = tuple(
-        tuple(tuple(next((arc for arc in per_symbol if after[arc[1]]), None)
-                    for per_symbol in per_state)
+        tuple(tuple(next((arc for arc in per_state[s] if after[arc[1]]), None) for s in range(symbols))
+              if len(per_state) == symbols else None
               for per_state in arcs)
         for after in live)
     return _Lookup(arcs, live, table)
@@ -128,14 +133,14 @@ class SyncAutomaton:
             if any(not 0 <= d < base for d, base in zip(triple, self.bases)):
                 raise ValueError(f"transition digits {triple} out of range for bases {self.bases}")
         bn, bx, by = self.bases
-        by_index = [[[] for _ in range(bn)] for _ in range(self.state_count)]
-        by_point = [[[] for _ in range(bx * by)] for _ in range(self.state_count)]
+        by_index = [{} for _ in range(self.state_count)]
+        by_point = [{} for _ in range(self.state_count)]
         for (q, (i, j, k)), target in sorted(self.transitions.items()):
-            by_index[q][i].append(((j, k), target))
-            by_point[q][j * by + k].append((i, target))
-        for name, arcs in (("_coords", by_index), ("_locate", by_point)):
-            frozen = tuple(tuple(tuple(a) for a in per_state) for per_state in arcs)
-            object.__setattr__(self, name, _lookup(frozen, self.accepting))
+            by_index[q].setdefault(i, []).append(((j, k), target))
+            by_point[q].setdefault(j * by + k, []).append((i, target))
+        for name, arcs, symbols in (("_coords", by_index, bn), ("_locate", by_point, bx * by)):
+            frozen = tuple({s: tuple(a) for s, a in reads.items()} for reads in arcs)
+            object.__setattr__(self, name, _lookup(frozen, symbols, self.accepting))
 
 
 _HILBERT_SYNC_ROWS: tuple[tuple[int, Triple, int], ...] = (
@@ -223,7 +228,7 @@ def _suffix_counts(arcs, accepting: frozenset[int], symbols) -> list[list[int]]:
         counts[-1][q] = 1
     for p in range(len(symbols) - 1, -1, -1):
         after, s = counts[p + 1], symbols[p]
-        counts[p] = [sum(after[target] for _, target in per_state[s]) for per_state in arcs]
+        counts[p] = [sum(after[target] for _, target in per_state.get(s, ())) for per_state in arcs]
     return counts
 
 
@@ -300,14 +305,18 @@ def _table_walk(machine: SyncAutomaton, lookup: _Lookup, t: int, weight):
     symbols after the arc.  Canonical strings have a nonzero leading
     symbol, except the one-symbol strings below (symbol count)**t.  The
     strings of a length are expanded together, one symbol per level, so a
-    shared prefix is read once.  A length whose parity leaves no accepted
-    completion from the initial state yields None, and the walk stops.
+    shared prefix is read once.  Without a parity table, or at a length
+    whose parity leaves no accepted completion from the initial state, it
+    yields None and stops.
     """
-    # rows[left][state][symbol]: (weight, target) of the arc the table names, or None
-    rows = [[[arc and (weight(s, arc[0], left), arc[1]) for s, arc in enumerate(per_state)]
+    if lookup.table is None:
+        yield None
+        return
+    # rows[left][state][symbol]: (weight, target) of the arc the table names, or None; no row, None
+    rows = [[per_state and [arc and (weight(s, arc[0], left), arc[1]) for s, arc in enumerate(per_state)]
              for per_state in lookup.table[left & 1]]
             for left in range(max(t, 1))]
-    symbol_count = len(lookup.arcs[machine.initial])
+    symbol_count = len(lookup.arcs[machine.initial])  # all symbols, once the initial state is live
     for length in range(1, max(t, 1) + 1):
         if not lookup.live[length & 1][machine.initial]:
             yield None
@@ -337,18 +346,15 @@ def sync_walk(machine: SyncAutomaton, t: int) -> list[Point]:
     if t < 0:
         raise ValueError(f"digit count must be at least 0, got {t}")
     bn, bx, by = machine.bases
-    if machine._coords.table is None:
-        return [sync_coords(machine, n) for n in range(bn**t)]
     side = by ** max(t, 1)  # a path sum is x * side + y
 
     def weight(digit, out, left):
         return out[0] * bx**left * side + out[1] * by**left
 
     points: list[Point] = []
-    for length, totals in enumerate(_table_walk(machine, machine._coords, t, weight), 1):
+    for totals in _table_walk(machine, machine._coords, t, weight):
         if totals is None:
-            first = bn ** (length - 1) if length > 1 else 0
-            raise NoAcceptingPathError(f"no coordinate pair accepted for index {first}")
+            return [sync_coords(machine, n) for n in range(bn**t)]
         points.extend(Point(*divmod(total, side)) for total in totals)
     return points
 
@@ -385,8 +391,6 @@ def sync_locate_walk(machine: SyncAutomaton, t: int) -> list[int]:
         raise ValueError(f"digit count must be at least 0, got {t}")
     bn, bx, by = machine.bases
     side = by**t
-    if machine._locate.table is None:
-        return [sync_locate(machine, x, y) for x in range(bx**t) for y in range(side)]
     scale = bn ** max(t, 1)  # a path sum is (x * side + y) * scale + n
 
     def weight(symbol, digit, left):
@@ -394,10 +398,9 @@ def sync_locate_walk(machine: SyncAutomaton, t: int) -> list[int]:
         return (j * bx**left * side + k * by**left) * scale + digit * bn**left
 
     grid = [0] * (bx**t * side)
-    for length, totals in enumerate(_table_walk(machine, machine._locate, t, weight), 1):
-        if totals is None:  # x-major, the first point of this digit count is (0, by**(length - 1))
-            y = by ** (length - 1) if length > 1 else 0
-            raise NoAcceptingPathError(f"no index accepted for coordinates (0, {y})")
+    for totals in _table_walk(machine, machine._locate, t, weight):
+        if totals is None:
+            return [sync_locate(machine, x, y) for x in range(bx**t) for y in range(side)]
         for total in totals:
             position, n = divmod(total, scale)
             grid[position] = n

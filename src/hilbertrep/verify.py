@@ -93,10 +93,10 @@ def _letters_below(machine: Dfao, count: int) -> list:
     return dfao_walk(machine, len(to_base(count - 1, machine.base)))
 
 
-def _walked(walk_fn, machine: SyncAutomaton, t: int) -> list | None:
-    """A sync walk's result, or None when one of its lookups fails."""
+def _or_none(lookup, *args):
+    """``lookup(*args)``, or None when it finds no accepted path or several."""
     try:
-        return walk_fn(machine, t)
+        return lookup(*args)
     except (NoAcceptingPathError, MultipleAcceptingPathsError):
         return None
 
@@ -112,7 +112,7 @@ def _coordinate_pairs(machine: SyncAutomaton, t: int, walkable: bool):
     A pair is None where the machine accepts no pair or several; the walk
     is only made when ``walkable`` and is only kept when no index fails.
     """
-    pairs = _walked(sync_walk, machine, t) if walkable else None
+    pairs = _or_none(sync_walk, machine, t) if walkable else None
     if pairs is not None:
         return pairs, None, None
     pairs = []
@@ -149,16 +149,11 @@ def _grid_witnesses(pairs, side: int):
 def _round_trip_witness(machine: SyncAutomaton, t: int, pairs, walkable: bool):
     """The first n whose pair ``sync_locate`` does not take back to n."""
     # n = 0 has the one digit 0, so pairs have max(t, 1) bits
-    grid = _walked(sync_locate_walk, machine, max(t, 1)) if walkable else None
+    grid = _or_none(sync_locate_walk, machine, max(t, 1)) if walkable else None
     height = 2 ** max(t, 1)
 
     def back(pair) -> int | None:
-        if grid is not None:
-            return grid[pair[0] * height + pair[1]]
-        try:
-            return sync_locate(machine, pair[0], pair[1])
-        except (NoAcceptingPathError, MultipleAcceptingPathsError):
-            return None
+        return _or_none(sync_locate, machine, *pair) if grid is None else grid[pair[0] * height + pair[1]]
 
     return next(((n,) for n, pair in enumerate(pairs) if pair is not None and back(pair) != n), None)
 

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 
 from hilbertrep import cli
 from hilbertrep.cli import main
-from hilbertrep.sync import hilbert_sync, sync_to_text
+from hilbertrep.sync import hilbert_sync, sync_from_text, sync_to_text
 
 
 def run(capsys, *argv):
@@ -238,10 +238,10 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _import_capped(tmp_path, name):
-    """(exit code, stdout, stderr) of ``import`` of one of _HUGE_FILES in the capped child."""
+def _import_capped(tmp_path, name, text):
+    """(exit code, stdout, stderr) of ``import`` of ``text``, saved as ``name``, in the capped child."""
     path = tmp_path / name
-    path.write_text(_HUGE_FILES[name])
+    path.write_text(text)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, "import", path.suffix[1:], str(path)],
                             capture_output=True, text=True, env=env, timeout=60)
@@ -255,12 +255,20 @@ def _import_capped(tmp_path, name):
     ("bases.sync", "coordinate digit pairs [(0, 1), (0, 2), (0, 3), (0, 4)]"),
 ])
 def test_import_of_a_header_only_file_names_the_first_four_missing(tmp_path, name, missing):
-    assert _import_capped(tmp_path, name) == (2, "", f"error: line 1: missing {missing}\n")
+    assert _import_capped(tmp_path, name, _HUGE_FILES[name]) == (2, "", f"error: line 1: missing {missing}\n")
 
 
 def test_import_of_a_rank_zero_linrep_restores_no_more_rows_than_the_file_has_lines(tmp_path):
     message = "error: line 1: rank-0 output dimension 1000000000 exceeds the file's 7 lines\n"
-    assert _import_capped(tmp_path, "rank0.linrep") == (2, "", message)
+    assert _import_capped(tmp_path, "rank0.linrep", _HUGE_FILES["rank0.linrep"]) == (2, "", message)
+
+
+def test_import_of_a_wide_sync_file_is_sized_by_its_arcs(tmp_path):
+    # about 87 KB: 4000 states, named only by the accepting list, and state 0 reading each of the
+    # 64 x 64 coordinate digit pairs; a dense row per state and pair would not fit under the cap
+    text = ("sync bases=4,64,64 states=4000 initial=0 accepting=" + ",".join(map(str, range(4000))) + "\n"
+            + "".join(f"0 [{k % 4},{j},{k}] -> 0\n" for j in range(64) for k in range(64)))
+    assert _import_capped(tmp_path, "wide.sync", text) == (0, sync_to_text(sync_from_text(text)), "")
 
 
 def test_bench_reports_both_methods(capsys):

@@ -42,6 +42,9 @@ def test_base_rejects_bad_input():
         from_base((4,), 4)
     with pytest.raises(ValueError, match="digit -1 out of range for base 4"):
         eval_dfao_digits(hilbert_dfao(), (2, -1))
+    for digits in ((4,), (1, 4), (4, 1, 0)):
+        with pytest.raises(ValueError, match="^digit 4 out of range for base 4$"):
+            eval_dfao_digits(hilbert_dfao(), digits)
 
 
 def test_table_machine_shape():

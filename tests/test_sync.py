@@ -255,6 +255,34 @@ def test_locate_walk_matches_per_point_lookups_on_single_faults():
     assert tabled > 0
 
 
+def _with_state_ten(accepting, arcs):
+    """The Hilbert machine with an eleventh state, 10, and ``arcs`` added."""
+    m = hilbert_sync()
+    return SyncAutomaton(bases=m.bases, state_count=11, initial=m.initial,
+                         accepting=accepting, transitions={**m.transitions, **arcs})
+
+
+def test_a_state_missing_a_symbol_has_no_completion_on_it():
+    m = hilbert_sync()
+    # state 10 reads only the zero triple and accepts nothing, so it is dead; state 0 can enter it
+    dead = _with_state_ten(m.accepting, {(0, (1, 0, 0)): 10, (10, (0, 0, 0)): 10})
+    for lookup in (dead._coords, dead._locate):
+        assert sum(len(arcs) for per_state in lookup.arcs for arcs in per_state.values()) == 46
+        assert list(lookup.arcs[10]) == [0]
+        assert lookup.table[0][10] is None and lookup.table[1][10] is None
+    assert lookup_paths(dead) == {"coords": "table", "locate": "table"}
+    assert sync_walk(dead, 4) == POINTS
+    for t in range(4):
+        _assert_walk_agrees(dead, t)
+        _assert_locate_walk_agrees(dead, t)
+    _assert_paths_agree(dead, range(4**3), [(x, y) for x in range(8) for y in range(8)])
+    # accepting, it has one completion of one step on the zero triple and none on the others
+    unread = _with_state_ten(m.accepting | {10}, {(10, (0, 0, 0)): 10})
+    assert lookup_paths(unread) == {"coords": "search", "locate": "search"}
+    assert sync_walk(unread, 3) == sync_walk(m, 3)
+    assert sync_locate_walk(unread, 3) == sync_locate_walk(m, 3)
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         SyncAutomaton(bases=(4, 2, 2), state_count=2, initial=5,
