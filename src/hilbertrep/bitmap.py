@@ -27,12 +27,11 @@ over the packed binary variant so golden files diff cleanly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice
 from typing import Iterator
 
-from .dfao import Dfao, determinize, explore
+from .dfao import Dfao, Record, determinize, explore
 from .oracle import generate_generation, require_stage, walk
 from .sync import SyncAutomaton, hilbert_sync
 
@@ -44,16 +43,14 @@ _MEMO_LEVEL = 6  # pixel rows of 2**6 x 2**6 lattice blocks are kept, once per a
 _PIXEL = (b"0 ", b"1 ")
 
 
-@dataclass(frozen=True)
-class Bitmap:
+class Bitmap(Record):
     """Row-major boolean grid; bits[y][x] with y = 0 at the bottom."""
 
-    width: int
-    height: int
-    bits: tuple[tuple[bool, ...], ...]
+    _fields = ("width", "height", "bits")
 
-    def __post_init__(self):
-        if len(self.bits) != self.height or any(len(row) != self.width for row in self.bits):
+    def __init__(self, width: int, height: int, bits: tuple[tuple[bool, ...], ...]):
+        self.__dict__.update(width=width, height=height, bits=bits)
+        if len(bits) != height or any(len(row) != width for row in bits):
             raise ValueError("bit grid does not match width x height")
 
 

@@ -4,16 +4,16 @@ hilbert_dfao() is an 8-state machine: running it on the base-4 digits of
 n, most significant digit first, ends in a state whose output is the n'th
 letter of the curve word; ``dfao_walk`` reads the letters of a whole
 range of indices at once.  The module also carries what the other
-representations share: the digit-string utilities, and the automaton
-engine, ``explore`` (breadth-first discovery of the states reachable
-from a start) and ``determinize`` (subset construction on top of it),
-which build the automatic bitmap, compare two machines and close a
-linear representation's matrices into an automaton.
+representations share: the digit-string utilities, the ``Record`` base
+of the package's immutable value classes, and the automaton engine,
+``explore`` (breadth-first discovery of the states reachable from a
+start) and ``determinize`` (subset construction on top of it), which
+build the automatic bitmap, compare two machines and close a linear
+representation's matrices into an automaton.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, repeat
 from typing import Hashable
@@ -52,8 +52,42 @@ def from_base(digits, k: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Dfao:
+class Record:
+    """Base of the package's immutable value classes, driven by their ``_fields``.
+
+    Two records are equal when they are of the same class and their
+    fields are; a record hashes as the tuple of its fields (unhashable if
+    one is) and prints as ``Name(field=value, ...)``.  Assigning or
+    deleting an attribute raises AttributeError: a subclass's ``__init__``
+    sets its fields, and anything it derives from them, through
+    ``self.__dict__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Dfao(Record):
     """Deterministic automaton with one output value per state.
 
     ``transitions[q][d]`` is the successor of state q on digit d; the
@@ -62,25 +96,24 @@ class Dfao:
     the result.  Instances are immutable and safe to share.
     """
 
-    base: int
-    transitions: tuple[tuple[int, ...], ...]
-    outputs: tuple[Hashable, ...]
-    initial: int = 0
+    _fields = ("base", "transitions", "outputs", "initial")
 
-    def __post_init__(self):
-        require_base(self.base)
-        count = len(self.transitions)
-        if len(self.outputs) != count:
+    def __init__(self, base: int, transitions: tuple[tuple[int, ...], ...],
+                 outputs: tuple[Hashable, ...], initial: int = 0):
+        self.__dict__.update(base=base, transitions=transitions, outputs=outputs, initial=initial)
+        require_base(base)
+        count = len(transitions)
+        if len(outputs) != count:
             raise ValueError("one output per state required")
-        if not 0 <= self.initial < count:
-            raise ValueError(f"initial state {self.initial} out of range")
-        for q, row in enumerate(self.transitions):
-            if len(row) != self.base:
-                raise ValueError(f"state {q} must have {self.base} transitions")
+        if not 0 <= initial < count:
+            raise ValueError(f"initial state {initial} out of range")
+        for q, row in enumerate(transitions):
+            if len(row) != base:
+                raise ValueError(f"state {q} must have {base} transitions")
             for d, target in enumerate(row):
                 if not 0 <= target < count:
                     raise ValueError(f"transition ({q}, {d}) -> {target} out of range")
-        if self.transitions[self.initial][0] != self.initial:
+        if transitions[initial][0] != initial:
             raise ValueError("leading zeros must loop at the initial state")
 
     @property

@@ -25,12 +25,11 @@ candidate representations.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
 
-from .dfao import Dfao, explore, from_base, require_base
+from .dfao import Dfao, Record, explore, from_base, require_base
 from .oracle import STEP
 from .ratmat import SpanBasis, identity, mat_mul, mat_vec, matrix, transpose, vec_mat, vector
 from .textfmt import ParseError, parse_index, parse_int, read_text, require_all
@@ -48,27 +47,22 @@ class InsufficientDataError(ValueError):
     """Not enough prefix data to pin down candidate kernel relations."""
 
 
-@dataclass(frozen=True)
-class LinearRep:
+class LinearRep(Record):
     """Exact linear representation (v, gamma, w) over base-k digits."""
 
-    base: int
-    v: tuple[tuple, ...]
-    gamma: tuple[tuple[tuple, ...], ...]
-    w: tuple
+    _fields = ("base", "v", "gamma", "w")
 
-    def __post_init__(self):
-        require_base(self.base)
-        object.__setattr__(self, "v", matrix(self.v))
-        object.__setattr__(self, "gamma", tuple(matrix(g) for g in self.gamma))
-        object.__setattr__(self, "w", vector(self.w))
-        if len(self.gamma) != self.base:
-            raise ValueError(f"need one matrix per digit of base {self.base}")
-        rank = len(self.w)
-        for row in self.v:
+    def __init__(self, base: int, v: tuple[tuple, ...], gamma: tuple[tuple[tuple, ...], ...], w: tuple):
+        require_base(base)
+        v, gamma, w = matrix(v), tuple(matrix(g) for g in gamma), vector(w)
+        self.__dict__.update(base=base, v=v, gamma=gamma, w=w)
+        if len(gamma) != base:
+            raise ValueError(f"need one matrix per digit of base {base}")
+        rank = len(w)
+        for row in v:
             if len(row) != rank:
                 raise ValueError("v must have rank-length rows")
-        for digit, g in enumerate(self.gamma):
+        for digit, g in enumerate(gamma):
             if len(g) != rank or any(len(row) != rank for row in g):
                 raise ValueError(f"gamma({digit}) must be {rank} x {rank}")
 
@@ -126,8 +120,7 @@ class _BlockProducts(dict):
         return product
 
 
-@dataclass(frozen=True)
-class Transducer:
+class Transducer(Record):
     """Nondeterministic letter-input transducer with word outputs.
 
     ``moves`` holds (source, input digit, output word, target) tuples;
@@ -135,30 +128,27 @@ class Transducer:
     here are unambiguous: each input has at most one accepting path.
     """
 
-    base: int
-    state_count: int
-    initial: int
-    final: frozenset[int]
-    moves: frozenset[tuple[int, int, tuple[int, ...], int]]
-    # (source, input digit) -> [(output word, target)], sorted; derived, so neither compared nor shown
-    _moves_on: dict = field(init=False, repr=False, compare=False)
+    _fields = ("base", "state_count", "initial", "final", "moves")
 
-    def __post_init__(self):
-        require_base(self.base)
-        if not 0 <= self.initial < self.state_count:
-            raise ValueError(f"initial state {self.initial} out of range")
-        if not all(0 <= q < self.state_count for q in self.final):
+    def __init__(self, base: int, state_count: int, initial: int, final: frozenset[int],
+                 moves: frozenset[tuple[int, int, tuple[int, ...], int]]):
+        self.__dict__.update(base=base, state_count=state_count, initial=initial, final=final, moves=moves)
+        require_base(base)
+        if not 0 <= initial < state_count:
+            raise ValueError(f"initial state {initial} out of range")
+        if not all(0 <= q < state_count for q in final):
             raise ValueError("final state out of range")
-        for src, digit, out, dst in self.moves:
-            if not (0 <= src < self.state_count and 0 <= dst < self.state_count):
+        for src, digit, out, dst in moves:
+            if not (0 <= src < state_count and 0 <= dst < state_count):
                 raise ValueError(f"move ({src}, {digit}, {out}, {dst}) state out of range")
-            if not 0 <= digit < self.base:
-                raise ValueError(f"move input digit {digit} out of range for base {self.base}")
-            if any(not 0 <= d < self.base for d in out):
+            if not 0 <= digit < base:
+                raise ValueError(f"move input digit {digit} out of range for base {base}")
+            if any(not 0 <= d < base for d in out):
                 raise ValueError(f"move output {out} has digits out of range")
-        object.__setattr__(self, "_moves_on", {})
-        for src, digit, out, dst in sorted(self.moves):
-            self._moves_on.setdefault((src, digit), []).append((out, dst))
+        # (source, input digit) -> [(output word, target)], sorted; derived, so neither compared nor shown
+        self.__dict__["_moves_on"] = moves_on = {}
+        for src, digit, out, dst in sorted(moves):
+            moves_on.setdefault((src, digit), []).append((out, dst))
 
 
 def hilbert_linrep() -> LinearRep:
@@ -244,6 +234,18 @@ def _eval(rep: LinearRep, n: int, length: int) -> tuple:
     return mat_vec(rep.v, col)
 
 
+def _times_columns(m, cols, count: int) -> list[list]:
+    """m times each of ``count`` columns, the columns held and returned as one list per coordinate."""
+    rows = []
+    for row in m:
+        acc = [0] * count
+        for a, col in zip(row, cols):
+            if a:
+                acc = [total + a * x for total, x in zip(acc, col)]
+        rows.append(acc)
+    return rows
+
+
 def linrep_walk(rep: LinearRep, t: int) -> list[tuple]:
     """The values at n = 0 ... base**t - 1 in index order.
 
@@ -252,18 +254,27 @@ def linrep_walk(rep: LinearRep, t: int) -> list[tuple]:
     the digits after e) costs one product of v . gamma(d) . gamma(e),
     built once per digit pair, with the suffix column gamma(s) . w; the
     columns of all strings s shorter than t - 1 are built one digit per
-    level, each from the column of its own suffix.
+    level, each from the column of its own suffix.  The columns of a level
+    are held as one list per coordinate, so a matrix is applied to all of
+    them by one list pass per nonzero entry.
     """
     if t < 0:
         raise ValueError(f"digit count must be at least 0, got {t}")
     heads = [mat_mul(rep.v, g) for g in rep.gamma]
     pair_heads = [mat_mul(head, g) for head in heads[1:] for g in rep.gamma]
     values = [mat_vec(head, rep.w) for head in heads[:rep.base if t else 1]]
-    cols = [rep.w]
+    cols, count = [[x] for x in rep.w], 1
     for length in range(2, t + 1):
         if length > 2:
-            cols = [mat_vec(g, col) for g in rep.gamma for col in cols]
-        values.extend(mat_vec(head, col) for head in pair_heads for col in cols)
+            parts = [_times_columns(g, cols, count) for g in rep.gamma]
+            cols = [[x for part in parts for x in part[i]] for i in range(rep.rank)]
+            count *= rep.base
+        for head in pair_heads:
+            rows = _times_columns(head, cols, count)
+            values.extend(zip(*rows) if rows else [()] * count)  # no rows: out_dim 0, empty values
+    entries = chain(rep.w, chain.from_iterable(rep.v), chain.from_iterable(chain.from_iterable(rep.gamma)))
+    if any(type(x) is not int for x in entries):  # exact non-integers: collapse integral Fractions
+        values = [vector(value) for value in values]
     return values
 
 
@@ -485,8 +496,7 @@ def semigroup_trick(rep: LinearRep) -> Dfao:
     return Dfao(base=rep.base, transitions=tuple(transitions), outputs=tuple(outputs))
 
 
-@dataclass(frozen=True)
-class GuessedLinearRep:
+class GuessedLinearRep(Record):
     """Uncertified candidate representation fitted to prefix data.
 
     ``spanning`` lists the kernel subsequences n -> a(k**e * n + i), as
@@ -494,8 +504,10 @@ class GuessedLinearRep:
     is up to the caller (replay, minimization, matrix closure).
     """
 
-    rep: LinearRep
-    spanning: tuple[tuple[int, int], ...]
+    _fields = ("rep", "spanning")
+
+    def __init__(self, rep: LinearRep, spanning: tuple[tuple[int, int], ...]):
+        self.__dict__.update(rep=rep, spanning=spanning)
 
 
 def guess_linrep(prefix, k: int, depth: int) -> GuessedLinearRep:

@@ -29,12 +29,11 @@ Transitions not listed are dead; the dead state is implicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .dfao import from_base, require_base, to_base
+from .dfao import Record, from_base, require_base, to_base
 from .oracle import Point
 from .textfmt import ParseError, parse_arc, parse_index, parse_int, read_text, require_all
 
@@ -100,8 +99,7 @@ def _lookup(arcs, symbols: int, accepting: frozenset[int]) -> _Lookup:
     return _Lookup(arcs, live, table)
 
 
-@dataclass(frozen=True)
-class SyncAutomaton:
+class SyncAutomaton(Record):
     """Deterministic automaton over digit triples with an implicit dead state.
 
     Equality compares the declared fields, not the lookups derived from them.
@@ -110,37 +108,34 @@ class SyncAutomaton:
     the lookups derived from it.
     """
 
-    bases: tuple[int, int, int]
-    state_count: int
-    initial: int
-    accepting: frozenset[int]
-    transitions: Mapping[tuple[int, Triple], int]
-    # index digit -> coordinate bits, and coordinate bits -> index digit; built once
-    _coords: _Lookup = field(init=False, repr=False, compare=False)
-    _locate: _Lookup = field(init=False, repr=False, compare=False)
+    _fields = ("bases", "state_count", "initial", "accepting", "transitions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "transitions", MappingProxyType(dict(self.transitions)))
-        for base in self.bases:
+    def __init__(self, bases: tuple[int, int, int], state_count: int, initial: int,
+                 accepting: frozenset[int], transitions: Mapping[tuple[int, Triple], int]):
+        transitions = MappingProxyType(dict(transitions))
+        self.__dict__.update(bases=bases, state_count=state_count, initial=initial,
+                             accepting=accepting, transitions=transitions)
+        for base in bases:
             require_base(base)
-        if not 0 <= self.initial < self.state_count:
-            raise ValueError(f"initial state {self.initial} out of range")
-        if not all(0 <= q < self.state_count for q in self.accepting):
+        if not 0 <= initial < state_count:
+            raise ValueError(f"initial state {initial} out of range")
+        if not all(0 <= q < state_count for q in accepting):
             raise ValueError("accepting state out of range")
-        for (q, triple), target in self.transitions.items():
-            if not (0 <= q < self.state_count and 0 <= target < self.state_count):
+        for (q, triple), target in transitions.items():
+            if not (0 <= q < state_count and 0 <= target < state_count):
                 raise ValueError(f"transition ({q}, {triple}) -> {target} state out of range")
-            if any(not 0 <= d < base for d, base in zip(triple, self.bases)):
-                raise ValueError(f"transition digits {triple} out of range for bases {self.bases}")
-        bn, bx, by = self.bases
-        by_index = [{} for _ in range(self.state_count)]
-        by_point = [{} for _ in range(self.state_count)]
-        for (q, (i, j, k)), target in sorted(self.transitions.items()):
+            if any(not 0 <= d < base for d, base in zip(triple, bases)):
+                raise ValueError(f"transition digits {triple} out of range for bases {bases}")
+        bn, bx, by = bases
+        by_index = [{} for _ in range(state_count)]
+        by_point = [{} for _ in range(state_count)]
+        for (q, (i, j, k)), target in sorted(transitions.items()):
             by_index[q].setdefault(i, []).append(((j, k), target))
             by_point[q].setdefault(j * by + k, []).append((i, target))
+        # index digit -> coordinate bits, and coordinate bits -> index digit; built once
         for name, arcs, symbols in (("_coords", by_index, bn), ("_locate", by_point, bx * by)):
             frozen = tuple({s: tuple(a) for s, a in reads.items()} for reads in arcs)
-            object.__setattr__(self, name, _lookup(frozen, symbols, self.accepting))
+            self.__dict__[name] = _lookup(frozen, symbols, accepting)
 
 
 _HILBERT_SYNC_ROWS: tuple[tuple[int, Triple, int], ...] = (
@@ -221,15 +216,21 @@ def accepts(machine: SyncAutomaton, n: int, x: int, y: int) -> bool:
     return state in machine.accepting
 
 
-def _suffix_counts(arcs, accepting: frozenset[int], symbols) -> list[list[int]]:
-    """counts[p][q] = number of accepted completions from state q reading symbols[p:]."""
-    counts = [[0] * len(arcs) for _ in range(len(symbols) + 1)]
-    for q in accepting:
-        counts[-1][q] = 1
-    for p in range(len(symbols) - 1, -1, -1):
-        after, s = counts[p + 1], symbols[p]
-        counts[p] = [sum(after[target] for _, target in per_state.get(s, ())) for per_state in arcs]
-    return counts
+def _suffix_counts(arcs, initial: int, accepting: frozenset[int], symbols) -> list[dict[int, int]]:
+    """counts[p][q] = number of accepted completions from state q reading symbols[p:].
+
+    Only the states reachable from ``initial`` by symbols[:p] are counted:
+    a forward pass collects them, and the counts run backward over those
+    alone, so the work is bounded by the live part of the machine.
+    """
+    reach = [{initial}]
+    for s in symbols:
+        reach.append({target for q in reach[-1] for _, target in arcs[q].get(s, ())})
+    counts = [{q: int(q in accepting) for q in reach[-1]}]
+    for s, states in zip(reversed(symbols), reversed(reach[:-1])):
+        after = counts[-1]
+        counts.append({q: sum(after[target] for _, target in arcs[q].get(s, ())) for q in states})
+    return counts[::-1]
 
 
 def _search(arcs, initial: int, accepting: frozenset[int], symbols) -> tuple[int, list]:
@@ -238,7 +239,7 @@ def _search(arcs, initial: int, accepting: frozenset[int], symbols) -> tuple[int
     When there is exactly one, the outputs along it come too; otherwise
     the output list is empty.
     """
-    counts = _suffix_counts(arcs, accepting, symbols)
+    counts = _suffix_counts(arcs, initial, accepting, symbols)
     total = counts[0][initial]
     outputs = []
     if total == 1:
@@ -355,7 +356,7 @@ def sync_walk(machine: SyncAutomaton, t: int) -> list[Point]:
     for totals in _table_walk(machine, machine._coords, t, weight):
         if totals is None:
             return [sync_coords(machine, n) for n in range(bn**t)]
-        points.extend(Point(*divmod(total, side)) for total in totals)
+        points.extend(map(Point._make, map(divmod, totals, repeat(side))))
     return points
 
 

@@ -22,9 +22,7 @@ the first undefined and the first ambiguous index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .dfao import Dfao, dfao_equal, dfao_walk, hilbert_dfao, to_base
+from .dfao import Dfao, Record, dfao_equal, dfao_walk, hilbert_dfao, to_base
 from .linrep import (
     difference_rep,
     hilbert_linrep,
@@ -63,17 +61,14 @@ from .dfao import eval_dfao  # noqa: F401
 from .linrep import eval_linrep  # noqa: F401
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     """Outcome of one bounded check; the witness is the smallest failure."""
 
-    name: str
-    bound: int
-    passed: bool
-    counterexample: tuple[int, ...] | None = None
+    _fields = ("name", "bound", "passed", "counterexample")
 
-    def __post_init__(self):
-        if (self.counterexample is None) != self.passed:
+    def __init__(self, name: str, bound: int, passed: bool, counterexample: tuple[int, ...] | None = None):
+        self.__dict__.update(name=name, bound=bound, passed=passed, counterexample=counterexample)
+        if (counterexample is None) != passed:
             raise ValueError("counterexample must be present exactly when the check failed")
 
 

@@ -75,7 +75,8 @@ def test_bitmap_imports_neither_linrep_nor_verify():
 
 
 # Runs the command line given as arguments, or with none only imports the package, then
-# prints the package modules and the decimal modules loaded; it imports nothing of the
+# prints the package modules and the number, record and introspection modules loaded
+# (fractions, decimal, dataclasses, inspect); it imports nothing of the
 # package itself, and runpy runs the command line as ``python -m hilbertrep.cli`` would.
 _LAUNCHER = """
 import runpy, sys
@@ -87,7 +88,8 @@ if len(sys.argv) > 1:
         assert stop.code == 0, stop.code
 else:
     import hilbertrep
-print(*sorted(name for name in sys.modules if name.partition(".")[0] in {"hilbertrep", "fractions", "decimal"}))
+shown = {"hilbertrep", "fractions", "decimal", "dataclasses", "inspect"}
+print(*sorted(name for name in sys.modules if name.partition(".")[0] in shown))
 """
 
 
@@ -110,6 +112,14 @@ def test_render_loads_only_the_sync_machine_and_the_bitmap(tmp_path):
 @pytest.mark.parametrize("argv", [("export", "sync"), ("locate", "3", "4")], ids=" ".join)
 def test_sync_commands_load_neither_linrep_nor_verify(argv):
     assert not loaded_modules(*argv) & {"hilbertrep.linrep", "hilbertrep.ratmat", "hilbertrep.verify"}
+
+
+@pytest.mark.parametrize("argv", [("render", "1", "-o", "stage.pbm"), ("verify",), ("locate", "3", "4"),
+                                  ("coords", "5", "--method", "linrep"), ("export", "dfao")], ids=" ".join)
+def test_commands_load_neither_dataclasses_nor_inspect(argv, tmp_path):
+    """The value classes are plain records, so no command pays for importing ``inspect``."""
+    argv = [str(tmp_path / arg) if arg.endswith(".pbm") else arg for arg in argv]
+    assert not loaded_modules(*argv) & {"dataclasses", "inspect"}
 
 
 # the names the package exported when it imported every module eagerly

@@ -5,6 +5,7 @@ from types import MappingProxyType
 
 import pytest
 
+from hilbertrep.dfao import to_base
 from hilbertrep.oracle import generate_generation, walk
 from hilbertrep.sync import (
     MultipleAcceptingPathsError,
@@ -173,6 +174,39 @@ def test_table_and_search_agree_on_single_faults():
     assert len(paths) == 450
     assert {"coords": "table", "locate": "table"} in paths
     assert {"coords": "search", "locate": "search"} in paths
+
+
+def _search_count(lookup, *args):
+    """How many accepted completions ``lookup`` reports, and the answer when there is one."""
+    try:
+        return 1, lookup(*args)
+    except NoAcceptingPathError:
+        return 0, None
+    except MultipleAcceptingPathsError as exc:
+        return int(str(exc).split()[0]), None
+
+
+def test_search_counts_match_enumeration_on_single_faults():
+    """The layered search against brute force through ``accepts`` on every single fault.
+
+    For an index n of d digits the search chooses d bits of each coordinate,
+    so its count is the number of accepted (x, y) in [0, 2**d)**2; for a
+    point of d padded bits it is the number of accepted n < 4**d.
+    """
+    m = hilbert_sync()
+    for transitions, accepting in _single_faults(m):
+        faulty = SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
+                               accepting=accepting, transitions=transitions)
+        searched = _search_only(faulty)
+        for n in range(4**2):
+            side = 2 ** len(to_base(n, 4))
+            found = [(x, y) for x in range(side) for y in range(side) if accepts(faulty, n, x, y)]
+            assert _search_count(sync_coords, searched, n) == (len(found), found[0] if len(found) == 1 else None), n
+        for x in range(4):
+            for y in range(4):
+                found = [n for n in range(4 ** len(to_base(max(x, y), 2))) if accepts(faulty, n, x, y)]
+                assert _search_count(sync_locate, searched, x, y) == (
+                    len(found), found[0] if len(found) == 1 else None), (x, y)
 
 
 def _walk_reference(machine, t):
