@@ -16,13 +16,12 @@ checked: if the number of accepted completions of r further steps from
 every state is 0 or 1, independent of the fixed digits, and depends on r
 only through its parity, then a table keyed by (parity of the digits
 left, state, fixed digits) names the one arc that can still reach
-acceptance, and a lookup is a single forward pass.  ``sync_walk`` runs
-the coordinate table over all indices of a digit count at once, and
-``sync_locate_walk`` the locate table over all grid points, reading each
-shared prefix once.  The Hilbert machine passes in both directions.  A
-machine that fails (an imported or corrupted one) is answered by a
-layered search that counts accepted completions per digit position and
-state, which also reports ambiguous lookups.
+acceptance.  The Hilbert machine passes in both directions.  Elsewhere
+(an imported or corrupted machine, or a digit count whose parity leaves
+the initial state dead) one forward pass counts the paths into each state
+it reaches, which also finds ambiguous lookups.  ``sync_walk`` and
+``sync_locate_walk`` answer every index or grid point of a digit count
+at once, reading each shared prefix once, for every machine.
 
 Transitions not listed are dead; the dead state is implicit.
 """
@@ -57,7 +56,7 @@ class _Lookup(NamedTuple):
     completions of r further steps from q, and ``table[r & 1][q][s]`` is
     the one arc on symbol s into a state with ``live[r & 1]`` set, or None;
     a state missing a symbol is dead, and its row is None.  Otherwise both
-    are None and lookups use the search.
+    are None and lookups count paths forward (``_forward``).
     """
 
     arcs: tuple
@@ -216,48 +215,46 @@ def accepts(machine: SyncAutomaton, n: int, x: int, y: int) -> bool:
     return state in machine.accepting
 
 
-def _suffix_counts(arcs, initial: int, accepting: frozenset[int], symbols) -> list[dict[int, int]]:
-    """counts[p][q] = number of accepted completions from state q reading symbols[p:].
+def _forward(machine: SyncAutomaton, lookup: _Lookup, columns) -> list[tuple[int, tuple | None]]:
+    """The number of accepted paths reading each string, and one of them.
 
-    Only the states reachable from ``initial`` by symbols[:p] are counted:
-    a forward pass collects them, and the counts run backward over those
-    alone, so the work is bounded by the live part of the machine.
+    The strings read one symbol from each of ``columns`` in turn and come
+    in symbol order, expanded together so a shared prefix is read once.
+    Each level maps the states a prefix reaches to [paths into it, one of
+    them]: two paths that meet in a state share every completion, so
+    neither can be the only accepted one, and keeping one loses nothing.
+    A path is nested (symbol, output, path before) triples, None when empty.
     """
-    reach = [{initial}]
-    for s in symbols:
-        reach.append({target for q in reach[-1] for _, target in arcs[q].get(s, ())})
-    counts = [{q: int(q in accepting) for q in reach[-1]}]
-    for s, states in zip(reversed(symbols), reversed(reach[:-1])):
-        after = counts[-1]
-        counts.append({q: sum(after[target] for _, target in arcs[q].get(s, ())) for q in states})
-    return counts[::-1]
+    def step(reached: dict, s: int) -> dict:
+        after: dict = {}
+        for state, (count, path) in reached.items():
+            for out, target in lookup.arcs[state].get(s, ()):
+                if target in after:
+                    after[target][0] += count
+                else:
+                    after[target] = [count, (s, out, path)]
+        return after
+
+    level = [{machine.initial: [1, None]}]
+    for symbols in columns[:-1]:
+        level = [step(reached, s) for reached in level for s in symbols]
+    ends = ([entry for state, entry in step(reached, s).items() if state in machine.accepting]
+            for reached in level for s in columns[-1])  # the last level is reduced as it is read
+    return [(sum(count for count, _ in entries), entries[0][1] if entries else None) for entries in ends]
 
 
-def _search(arcs, initial: int, accepting: frozenset[int], symbols) -> tuple[int, list]:
-    """Layered search: the number of accepted paths reading ``symbols``.
-
-    When there is exactly one, the outputs along it come too; otherwise
-    the output list is empty.
-    """
-    counts = _suffix_counts(arcs, initial, accepting, symbols)
-    total = counts[0][initial]
-    outputs = []
-    if total == 1:
-        state = initial
-        for s, after in zip(symbols, counts[1:]):
-            out, state = next(arc for arc in arcs[state][s] if after[arc[1]])
-            outputs.append(out)
-    return total, outputs
+def _back_along(path):
+    """The (symbol, output) of each arc of a path, last arc first."""
+    while path:
+        symbol, out, path = path
+        yield symbol, out
 
 
 def _accepted_path(machine: SyncAutomaton, lookup: _Lookup, symbols) -> tuple[int, list]:
-    """The number of accepted paths reading ``symbols`` and the outputs along the only one.
-
-    Through the parity table the count is 0 or 1; through the search it
-    can be any number, and the outputs are empty unless it is 1.
-    """
+    """The number of accepted paths reading ``symbols`` (at most 1 by table) and the outputs along one."""
     if lookup.table is None:
-        return _search(lookup.arcs, machine.initial, machine.accepting, symbols)
+        [(count, path)] = _forward(machine, lookup, [(s,) for s in symbols])
+        return count, [out for _, out in _back_along(path)][::-1]
     parity = len(symbols) & 1
     state = machine.initial
     if not lookup.live[parity][state]:
@@ -276,13 +273,12 @@ def sync_coords(machine: SyncAutomaton, n: int) -> Point:
 
     Arcs fix the index digit and choose the two coordinate bits.  When the
     machine passed the parity check for this direction (the Hilbert
-    machine does), one lookup in the live vector for the digit count's
-    parity decides whether a pair exists and one forward pass through the
-    parity table reads it off.  Otherwise a layered search counts the
-    accepted completions per digit position.  Either way the work is
-    linear in the digit count.  Raises NoAcceptingPathError or
-    MultipleAcceptingPathsError when the machine does not define exactly
-    one pair; only the search can find more than one.
+    machine does), the live vector for the digit count's parity decides
+    whether a pair exists and one pass through the table reads it off;
+    otherwise ``_forward`` counts the paths into each state it reaches.
+    Either way the work is linear in the digit count.  Raises
+    NoAcceptingPathError or MultipleAcceptingPathsError when the machine
+    does not define exactly one pair.
     """
     total, outputs = _accepted_path(machine, machine._coords, to_base(n, machine.bases[0]))
     if total == 0:
@@ -297,76 +293,93 @@ def sync_coords(machine: SyncAutomaton, n: int) -> Point:
     return Point(x, y)
 
 
-def _table_walk(machine: SyncAutomaton, lookup: _Lookup, t: int, weight):
-    """Path sums over the canonical symbol strings of each length 1 ... max(t, 1).
+def _path_walk(machine: SyncAutomaton, lookup: _Lookup, symbol_sets, weight):
+    """Path counts and sums over the canonical symbol strings of each length 1 ... len(symbol_sets).
 
-    Yields one iterator per length, to be read before the next: for each
-    string in symbol order, the sum of ``weight(symbol, output, left)``
-    over the arcs of its one accepted path, ``left`` being the number of
-    symbols after the arc.  Canonical strings have a nonzero leading
-    symbol, except the one-symbol strings below (symbol count)**t.  The
-    strings of a length are expanded together, one symbol per level, so a
-    shared prefix is read once.  Without a parity table, or at a length
-    whose parity leaves no accepted completion from the initial state, it
-    yields None and stops.
+    ``symbol_sets[left]`` lists, from 0 up, the symbols a string may read
+    with ``left`` symbols after them; only a one-symbol string leads with
+    0.  Yields one pair per length, to be read before the next: the number
+    of accepted paths reading each string in symbol order, and the sum of
+    ``weight(symbol, output, left)`` along the one path where that number
+    is 1 (None elsewhere).  Where the parity table covers the length, each
+    number is 1 and None comes instead of the list; elsewhere ``_forward``
+    counts.  Either way the strings are expanded together, one symbol per
+    level, so a shared prefix is read once.
     """
-    if lookup.table is None:
-        yield None
-        return
-    # rows[left][state][symbol]: (weight, target) of the arc the table names, or None; no row, None
-    rows = [[per_state and [arc and (weight(s, arc[0], left), arc[1]) for s, arc in enumerate(per_state)]
-             for per_state in lookup.table[left & 1]]
-            for left in range(max(t, 1))]
-    symbol_count = len(lookup.arcs[machine.initial])  # all symbols, once the initial state is live
-    for length in range(1, max(t, 1) + 1):
-        if not lookup.live[length & 1][machine.initial]:
-            yield None
-            return
-        lead = slice(1, None) if length > 1 else slice(0, symbol_count**t)
+    rows = lookup.table and [  # rows[left][state]: (weight, target) per symbol of the set, or None
+        [per_state and [(arc := per_state[s]) and (weight(s, arc[0], left), arc[1]) for s in symbols]
+         for per_state in lookup.table[left & 1]]
+        for left, symbols in enumerate(symbol_sets)]
+    for length in range(1, len(symbol_sets) + 1):
+        lefts = range(length - 1, -1, -1)
+        starts = [int(0 < left == length - 1) for left in lefts]  # skip a leading 0 past one symbol
+        if not (rows and lookup.live[length & 1][machine.initial]):
+            ends = _forward(machine, lookup, [symbol_sets[left][i:] for left, i in zip(lefts, starts)])
+            yield ([count for count, _ in ends],
+                   [sum(weight(s, out, left) for left, (s, out) in enumerate(_back_along(path)))
+                    if count == 1 else None for count, path in ends])
+            continue
         level = [(machine.initial, 0)]
-        for left in range(length - 1, -1, -1):
-            row = rows[left]
-            symbols = lead if left == length - 1 else slice(None)
-            if left:
-                level = [(q, total + w) for state, total in level for w, q in row[state][symbols]]
-            else:  # the last level needs no states, and is read once
-                yield (total + w for state, total in level for w, _ in row[state][symbols])
+        for left, start in zip(lefts[:-1], starts):
+            level = [(q, total + w) for state, total in level for w, q in rows[left][state][start:]]
+        # the last level needs no states, and is read once
+        yield None, (total + w for state, total in level for w, _ in rows[0][state])
+
+
+def _digit_counts(bound: int, base: int, length: int) -> tuple[list[int], int]:
+    """How many digits a number below ``bound`` has at each ``left`` < ``length``, and the bound they make."""
+    counts = [min(base, -(-bound // base**left)) for left in range(length)]
+    return counts, 1 + sum((count - 1) * base**left for left, count in enumerate(counts))
+
+
+def _coords_below(machine: SyncAutomaton, count: int):
+    """The pairs of n = 0 ... count - 1 in index order, and each n without exactly one.
+
+    A pair is None where the machine accepts no pair or several, and each
+    such n comes with the number it accepts.  The walk reads the least
+    digit count that reaches ``count``, with leading digits below it.
+    """
+    bn, bx, by = machine.bases
+    length = len(to_base(count - 1, bn))
+    side = by**length  # a path sum is x * side + y
+
+    def weight(digit, out, left):
+        return out[0] * bx**left * side + out[1] * by**left
+
+    points: list = []
+    failures = []
+    digits, _ = _digit_counts(count, bn, length)
+    for counts, totals in _path_walk(machine, machine._coords, [range(d) for d in digits], weight):
+        if counts is None:
+            points.extend(map(Point._make, map(divmod, totals, repeat(side))))
+            continue
+        failures += [(len(points) + i, paths) for i, paths in enumerate(counts) if paths != 1]
+        points += [None if total is None else Point._make(divmod(total, side)) for total in totals]
+    return points[:count], [(n, paths) for n, paths in failures if n < count]
 
 
 def sync_walk(machine: SyncAutomaton, t: int) -> list[Point]:
     """The coordinates of n = 0 ... bn**t - 1 in index order.
 
-    Equal to ``[sync_coords(machine, n) for n in range(bn**t)]``, and on a
-    failing machine it raises what that list would raise first.  With a
-    parity table the indices of each digit count are expanded together
-    (``_table_walk``), so a shared prefix is read once: about (4/3)·4**t
-    table steps for the Hilbert machine instead of one conversion and
-    pass per index.  The digit count's parity decides up front whether
-    that count's indices have coordinates at all.
+    Equal to ``[sync_coords(machine, n) for n in range(bn**t)]``; on a
+    failing machine it looks up the first failing index, which raises what
+    that list would raise first.  The indices of each digit count are
+    expanded together (``_path_walk``), so a shared prefix is read once:
+    about (4/3)·4**t table steps for the Hilbert machine.
     """
     if t < 0:
         raise ValueError(f"digit count must be at least 0, got {t}")
-    bn, bx, by = machine.bases
-    side = by ** max(t, 1)  # a path sum is x * side + y
-
-    def weight(digit, out, left):
-        return out[0] * bx**left * side + out[1] * by**left
-
-    points: list[Point] = []
-    for totals in _table_walk(machine, machine._coords, t, weight):
-        if totals is None:
-            return [sync_coords(machine, n) for n in range(bn**t)]
-        points.extend(map(Point._make, map(divmod, totals, repeat(side))))
+    points, failures = _coords_below(machine, machine.bases[0] ** t)
+    if failures:
+        sync_coords(machine, failures[0][0])  # raises what the per-index list raises first
     return points
 
 
 def sync_locate(machine: SyncAutomaton, x: int, y: int) -> int:
     """The unique index n accepted with coordinates (x, y).
 
-    The same two paths as ``sync_coords`` with the coordinate bits fixed
-    (both strings zero-padded to the longer) and the index digit chosen:
-    the parity table when the machine passed the check for this direction,
-    the layered search otherwise.
+    The same two paths as ``sync_coords``, with the coordinate bits fixed
+    (both strings zero-padded to the longer) and the index digit chosen.
     """
     bn, bx, by = machine.bases
     dx, dy = _padded(to_base(x, bx), to_base(y, by))
@@ -378,33 +391,48 @@ def sync_locate(machine: SyncAutomaton, x: int, y: int) -> int:
     return from_base(outputs, bn)
 
 
-def sync_locate_walk(machine: SyncAutomaton, t: int) -> list[int]:
-    """The index of every point of the bx**t x by**t grid, x-major.
+def _indices_within(machine: SyncAutomaton, width: int, height: int) -> tuple[list, int]:
+    """The index of every point of a grid covering [0, width) x [0, height), and its height.
 
-    Entry ``x * by**t + y`` is ``sync_locate(machine, x, y)``: the result
-    equals ``[sync_locate(machine, x, y) for x in range(bx**t) for y in
-    range(by**t)]``, and on a failing machine it raises what that list
-    would raise first.  With a parity table the points of each digit
-    count are expanded together as ``sync_walk`` expands indices, each
-    path summing the point's grid position and its index.
+    The grid is x-major, entry ``x * its height + y``, None where the
+    machine accepts no index or several.  The walk reads the least digit
+    count that covers both sides and at each position only the digits a
+    coordinate below its bound can have there, so the grid is less than
+    twice as wide and as high as asked.
     """
-    if t < 0:
-        raise ValueError(f"digit count must be at least 0, got {t}")
     bn, bx, by = machine.bases
-    side = by**t
-    scale = bn ** max(t, 1)  # a path sum is (x * side + y) * scale + n
+    length = max(len(to_base(width - 1, bx)), len(to_base(height - 1, by)))
+    (xs, walked_width), (ys, side) = _digit_counts(width, bx, length), _digit_counts(height, by, length)
+    scale = bn**length  # a path sum is (x * side + y) * scale + n
 
     def weight(symbol, digit, left):
         j, k = divmod(symbol, by)
         return (j * bx**left * side + k * by**left) * scale + digit * bn**left
 
-    grid = [0] * (bx**t * side)
-    for totals in _table_walk(machine, machine._locate, t, weight):
-        if totals is None:
-            return [sync_locate(machine, x, y) for x in range(bx**t) for y in range(side)]
-        for total in totals:
+    grid = [None] * (walked_width * side)
+    symbol_sets = [[j * by + k for j in range(a) for k in range(b)] for a, b in zip(xs, ys)]
+    for counts, totals in _path_walk(machine, machine._locate, symbol_sets, weight):
+        for total in totals if counts is None else (total for total in totals if total is not None):
             position, n = divmod(total, scale)
             grid[position] = n
+    return grid, side
+
+
+def sync_locate_walk(machine: SyncAutomaton, t: int) -> list[int]:
+    """The index of every point of the bx**t x by**t grid, x-major.
+
+    Entry ``x * by**t + y`` is ``sync_locate(machine, x, y)``, and on a
+    failing machine the first failing point is looked up, which raises
+    what the list of those lookups would raise first.  The points are
+    expanded as ``sync_walk`` expands indices, each path summing the
+    point's grid position and its index.
+    """
+    if t < 0:
+        raise ValueError(f"digit count must be at least 0, got {t}")
+    _, bx, by = machine.bases
+    grid, height = _indices_within(machine, bx**t, by**t)
+    if None in grid:
+        sync_locate(machine, *divmod(grid.index(None), height))  # raises what the per-point list raises first
     return grid
 
 

@@ -11,13 +11,12 @@ loop on the all-zero triple, which makes leading zeros inert at any length.
 
 Each suite reads a representation over its whole checked range in one
 pass instead of one lookup per index: ``dfao_walk`` for letters,
-``linrep_walk`` for values, ``sync_walk`` for coordinate pairs and
-``sync_locate_walk`` for the index of every grid point.  A walk expands
-all indices (or points) of a digit count together, one digit per level,
-so each shared digit prefix is read once.  Only a synchronized machine
-whose walk fails, because some index or point has no accepted path or
-several, is looked up one index or point at a time, which is what finds
-the first undefined and the first ambiguous index.
+``linrep_walk`` for values, and the walks behind ``sync_walk`` and
+``sync_locate_walk`` for coordinate pairs and the index of every grid
+point, for any synchronized machine.  A walk expands all indices (or
+points) of a digit count together, one digit per level, so each shared
+digit prefix is read once; it also counts the accepted paths of each, which
+finds the first undefined and the first ambiguous index.
 """
 
 from __future__ import annotations
@@ -46,19 +45,20 @@ from .sync import (
     MultipleAcceptingPathsError,
     NoAcceptingPathError,
     SyncAutomaton,
+    _coords_below,
+    _indices_within,
     accepts,
     hilbert_sync,
-    sync_coords,
     sync_locate,
-    sync_locate_walk,
     sync_walk,
 )
 
-# The suites no longer look letters or values up one index at a time, but
-# the traced benchmark run (perfbench/tracing.py) installs counting shims
-# under these names.
+# The suites no longer look letters, values or coordinates up one index at
+# a time, but the traced benchmark run (perfbench/tracing.py) installs
+# counting shims under these names.
 from .dfao import eval_dfao  # noqa: F401
 from .linrep import eval_linrep  # noqa: F401
+from .sync import sync_coords  # noqa: F401
 
 
 class VerifyReport(Record):
@@ -88,43 +88,9 @@ def _letters_below(machine: Dfao, count: int) -> list:
     return dfao_walk(machine, len(to_base(count - 1, machine.base)))
 
 
-def _or_none(lookup, *args):
-    """``lookup(*args)``, or None when it finds no accepted path or several."""
-    try:
-        return lookup(*args)
-    except (NoAcceptingPathError, MultipleAcceptingPathsError):
-        return None
-
-
 def _first_difference(values, expected) -> tuple[int] | None:
     """The witness (n,) of the first n where ``values[n] != expected[n]``, or None."""
     return next(((n,) for n, (value, want) in enumerate(zip(values, expected)) if value != want), None)
-
-
-def _coordinate_pairs(machine: SyncAutomaton, t: int, walkable: bool):
-    """The pairs of n < 4**t and the first undefined and first ambiguous index.
-
-    A pair is None where the machine accepts no pair or several; the walk
-    is only made when ``walkable`` and is only kept when no index fails.
-    """
-    pairs = _or_none(sync_walk, machine, t) if walkable else None
-    if pairs is not None:
-        return pairs, None, None
-    pairs = []
-    undefined: tuple[int, ...] | None = None
-    ambiguous: tuple[int, ...] | None = None
-    for n in range(4 ** t):
-        try:
-            pairs.append(sync_coords(machine, n))
-        except NoAcceptingPathError:
-            pairs.append(None)
-            if undefined is None:
-                undefined = (n,)
-        except MultipleAcceptingPathsError:
-            pairs.append(None)
-            if ambiguous is None:
-                ambiguous = (n,)
-    return pairs, undefined, ambiguous
 
 
 def _grid_witnesses(pairs, side: int):
@@ -141,16 +107,20 @@ def _grid_witnesses(pairs, side: int):
     return collision, uncovered
 
 
-def _round_trip_witness(machine: SyncAutomaton, t: int, pairs, walkable: bool):
+def _round_trip_witness(machine: SyncAutomaton, t: int, pairs):
     """The first n whose pair ``sync_locate`` does not take back to n."""
-    # n = 0 has the one digit 0, so pairs have max(t, 1) bits
-    grid = _or_none(sync_locate_walk, machine, max(t, 1)) if walkable else None
-    height = 2 ** max(t, 1)
+    side = 2 ** max(t, 1)  # n = 0 has the one digit 0, so pairs have max(t, 1) bits
+    grid, height = _indices_within(machine, side, side)
 
-    def back(pair) -> int | None:
-        return _or_none(sync_locate, machine, *pair) if grid is None else grid[pair[0] * height + pair[1]]
+    def back(x: int, y: int) -> int | None:
+        if x < side and y < side:
+            return grid[x * height + y]
+        try:  # a pair outside the walked grid is located on its own
+            return sync_locate(machine, x, y)
+        except (NoAcceptingPathError, MultipleAcceptingPathsError):
+            return None
 
-    return next(((n,) for n, pair in enumerate(pairs) if pair is not None and back(pair) != n), None)
+    return next(((n,) for n, pair in enumerate(pairs) if pair is not None and back(*pair) != n), None)
 
 
 def verify_identities(max_gen: int, *, machine: Dfao | None = None) -> list[VerifyReport]:
@@ -208,19 +178,18 @@ def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None) -> list[V
     2**t x 2**t grid is a bijection, locate inverts the coordinate lookup,
     the origin triple is accepted, and leading-zero padding is inert.
 
-    Pairs come from ``sync_walk`` and the round trip reads
-    ``sync_locate_walk``.  When a walk fails (some index or point has no
-    accepted path, or several), or the machine's bases are not 4, 2, 2,
-    the lookups are made one index or point at a time instead, which is
-    also what finds the first undefined and the first ambiguous index.
+    Pairs and path counts come from the walk behind ``sync_walk`` at the
+    least digit count that reaches 4**t, and the round trip reads the walk
+    behind ``sync_locate_walk`` over the 2**max(t, 1) square; only a pair
+    outside that square is located on its own.
     """
     m = hilbert_sync() if machine is None else machine
     points = walk(generate_generation(t))  # budget check before 4**t
     count = 4 ** t
-    # only for these bases do the walks cover exactly n < 4**t and the 2**t x 2**t grid
-    walkable = m.bases == (4, 2, 2)
 
-    pairs, undefined, ambiguous = _coordinate_pairs(m, t, walkable)
+    pairs, failures = _coords_below(m, count)
+    undefined = next(((n,) for n, paths in failures if paths == 0), None)
+    ambiguous = next(((n,) for n, paths in failures if paths > 1), None)
     agreement = next(((n,) for n, (pair, point) in enumerate(zip(pairs, points))
                       if pair is not None and pair != point), None)
     del points  # not read again: freed before the walks below
@@ -241,7 +210,7 @@ def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None) -> list[V
                 step_witness[direction] = (n,)
 
     collision, uncovered = _grid_witnesses(pairs, 2 ** t)
-    round_trip = _round_trip_witness(m, t, pairs, walkable)
+    round_trip = _round_trip_witness(m, t, pairs)
 
     origin = None if accepts(m, 0, 0, 0) else (0, 0, 0)
     padding = None if m.transitions.get((m.initial, (0, 0, 0))) == m.initial else (0, 0, 0)

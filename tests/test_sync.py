@@ -113,7 +113,7 @@ def test_multiple_accepting_paths_are_reported():
 
 
 def _search_only(machine):
-    """A copy of the machine whose lookups always take the layered search."""
+    """A copy of the machine whose lookups always count paths forward (``path=search``)."""
     twin = SyncAutomaton(bases=machine.bases, state_count=machine.state_count,
                          initial=machine.initial, accepting=machine.accepting,
                          transitions=machine.transitions)
@@ -168,7 +168,7 @@ def test_table_and_search_agree_on_single_faults():
         faulty = SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
                                accepting=accepting, transitions=transitions)
         paths.append(lookup_paths(faulty))
-        # without a table both sides run the same search, so only tabled machines are compared
+        # without a table both sides run the same forward count, so only tabled machines are compared
         if "table" in paths[-1].values():
             _assert_paths_agree(faulty, indices, points)
     assert len(paths) == 450
@@ -187,9 +187,9 @@ def _search_count(lookup, *args):
 
 
 def test_search_counts_match_enumeration_on_single_faults():
-    """The layered search against brute force through ``accepts`` on every single fault.
+    """The forward count against brute force through ``accepts`` on every single fault.
 
-    For an index n of d digits the search chooses d bits of each coordinate,
+    For an index n of d digits the count chooses d bits of each coordinate,
     so its count is the number of accepted (x, y) in [0, 2**d)**2; for a
     point of d padded bits it is the number of accepted n < 4**d.
     """
@@ -236,17 +236,34 @@ def test_walk_matches_per_index_lookups():
         sync_walk(m, -1)
 
 
-def test_walk_matches_per_index_lookups_on_single_faults():
+def _squared(m):
+    """The machine reading two of m's triples per symbol, with the squared bases."""
+    bn, bx, by = m.bases
+    transitions = {}
+    for (q, (i1, j1, k1)), mid in m.transitions.items():
+        for (p, (i2, j2, k2)), target in m.transitions.items():
+            if p == mid:
+                transitions[(q, (bn * i1 + i2, bx * j1 + j2, by * k1 + k2))] = target
+    return SyncAutomaton(bases=(bn * bn, bx * bx, by * by), state_count=m.state_count,
+                         initial=m.initial, accepting=m.accepting, transitions=transitions)
+
+
+def _faults_and_squared():
+    """Every single fault of the Hilbert machine, then the Hilbert machine squared."""
     m = hilbert_sync()
-    tabled = 0
     for transitions, accepting in _single_faults(m):
-        faulty = SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
-                               accepting=accepting, transitions=transitions)
-        if lookup_paths(faulty)["coords"] == "table":
-            tabled += 1
-            for t in range(4):
-                _assert_walk_agrees(faulty, t)
-    assert tabled > 0
+        yield SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
+                            accepting=accepting, transitions=transitions)
+    yield _squared(m)
+
+
+def test_walk_matches_per_index_lookups_on_single_faults():
+    paths = []
+    for machine in _faults_and_squared():
+        paths.append(lookup_paths(machine)["coords"])
+        for t in range(4):
+            _assert_walk_agrees(machine, t)
+    assert len(paths) == 451 and {"table", "search"} <= set(paths)
 
 
 def _locate_walk_reference(machine, t):
@@ -277,16 +294,12 @@ def test_locate_walk_matches_per_point_lookups():
 
 
 def test_locate_walk_matches_per_point_lookups_on_single_faults():
-    m = hilbert_sync()
-    tabled = 0
-    for transitions, accepting in _single_faults(m):
-        faulty = SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
-                               accepting=accepting, transitions=transitions)
-        if lookup_paths(faulty)["locate"] == "table":
-            tabled += 1
-            for t in range(4):
-                _assert_locate_walk_agrees(faulty, t)
-    assert tabled > 0
+    paths = []
+    for machine in _faults_and_squared():
+        paths.append(lookup_paths(machine)["locate"])
+        for t in range(4):
+            _assert_locate_walk_agrees(machine, t)
+    assert len(paths) == 451 and {"table", "search"} <= set(paths)
 
 
 def _with_state_ten(accepting, arcs):

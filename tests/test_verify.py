@@ -4,12 +4,21 @@ import random
 from pathlib import Path
 
 import pytest
-from test_sync import _single_faults
+from test_sync import _single_faults, _squared
 
 from hilbertrep.cli import main
 from hilbertrep.dfao import Dfao, hilbert_dfao
 from hilbertrep.oracle import Direction, GenerationBudgetError
-from hilbertrep.sync import SyncAutomaton, hilbert_sync, sync_to_text
+from hilbertrep import sync
+from hilbertrep.sync import (
+    MultipleAcceptingPathsError,
+    NoAcceptingPathError,
+    SyncAutomaton,
+    hilbert_sync,
+    sync_coords,
+    sync_locate,
+    sync_to_text,
+)
 from hilbertrep.verify import (
     VerifyReport,
     format_report,
@@ -67,20 +76,8 @@ def _with_transition(key, target):
                          accepting=m.accepting, transitions={**m.transitions, key: target})
 
 
-def _squared(m):
-    """The machine reading two of m's triples per symbol, with the squared bases."""
-    bn, bx, by = m.bases
-    transitions = {}
-    for (q, (i1, j1, k1)), mid in m.transitions.items():
-        for (p, (i2, j2, k2)), target in m.transitions.items():
-            if p == mid:
-                transitions[(q, (bn * i1 + i2, bx * j1 + j2, by * k1 + k2))] = target
-    return SyncAutomaton(bases=(bn * bn, bx * bx, by * by), state_count=m.state_count,
-                         initial=m.initial, accepting=m.accepting, transitions=transitions)
-
-
 def test_sync_suite_passes_on_other_bases():
-    """Bases (16, 4, 4) leave the walks and take the per-index lookups."""
+    """Bases (16, 4, 4) walk at the least digit count that reaches 4**t and the 2**t square."""
     squared = _squared(hilbert_sync())
     assert squared.bases == (16, 4, 4)
     for t in range(5):
@@ -88,8 +85,13 @@ def test_sync_suite_passes_on_other_bases():
         assert len(reports) == 12 and all(r.passed for r in reports), t
 
 
-def test_per_index_path_matches_the_walks_on_single_faults():
-    """Squaring keeps the relation of a machine whose initial state loops on (0,0,0)."""
+def test_squared_machine_reports_match_on_single_faults():
+    """Squaring keeps the relation of a machine whose initial state loops on (0,0,0).
+
+    The squared machine's walks read half as many symbols, each of two
+    digits, and cut the leading symbol to reach just 4**t, so they check
+    the walks of the unsquared machine on every report.
+    """
     m = hilbert_sync()
     faults = [(transitions, accepting) for transitions, accepting in _single_faults(m)
               if transitions.get((m.initial, (0, 0, 0))) == m.initial]
@@ -104,6 +106,30 @@ def test_per_index_path_matches_the_walks_on_single_faults():
     assert failing
 
 
+def test_first_failing_indices_match_per_index_lookups_on_single_faults():
+    """The walk's path counts name the same first undefined and first ambiguous index as lookups."""
+    m = hilbert_sync()
+    named = set()
+    for transitions, accepting in _single_faults(m):
+        faulty = SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
+                               accepting=accepting, transitions=transitions)
+        reports = {r.name: r.counterexample for r in verify_sync_suite(3, machine=faulty)}
+        raised = [_raised(sync_coords, faulty, n) for n in range(4**3)]
+        for name, error in (("coords_defined", NoAcceptingPathError),
+                            ("coords_unique", MultipleAcceptingPathsError)):
+            assert reports[name] == next(((n,) for n, e in enumerate(raised) if e is error), None)
+            named.add((name, reports[name] is None))
+    assert len(named) == 4  # each check both passes and fails on some fault
+
+
+def _raised(lookup, *args):
+    try:
+        lookup(*args)
+    except ValueError as exc:
+        return type(exc)
+    return None
+
+
 def test_verify_cli_on_a_squared_machine_matches_golden(tmp_path, capsys):
     path = tmp_path / "squared.sync"
     path.write_text(sync_to_text(_squared(hilbert_sync())), encoding="ascii")
@@ -112,6 +138,57 @@ def test_verify_cli_on_a_squared_machine_matches_golden(tmp_path, capsys):
     assert code == 0
     golden = Path(__file__).parent / "data" / "verify_3_3_3.out"
     assert capsys.readouterr().out == golden.read_text(encoding="ascii")
+
+
+def _spread():
+    """Bases (4, 64, 64) with one pair per index, most of them far outside the 2**t square.
+
+    Index digit i reads x digit 16i and y digit 0 in the one accepting
+    state; every other coordinate pair leads to the dead state 1.
+    """
+    transitions = {(0, (0, j, k)): 1 for j in range(64) for k in range(64) if k or j % 16}
+    transitions.update({(0, (i, 16 * i, 0)): 0 for i in range(4)})
+    return SyncAutomaton(bases=(4, 64, 64), state_count=2, initial=0, accepting=frozenset({0}),
+                         transitions=transitions)
+
+
+def test_pairs_outside_the_walked_grid_are_located_on_their_own():
+    spread = _spread()
+    assert sync_coords(spread, 5) == (1040, 0) and sync_locate(spread, 1040, 0) == 5
+    for t in (2, 4):
+        reports = verify_sync_suite(t, machine=spread)
+        assert len(reports) == 12
+        assert [(r.name, r.counterexample) for r in reports if not r.passed] == [
+            ("grid_covered", (0, 1)), ("oracle_agreement", (1,)), ("step_down", (2,)),
+            ("step_left", (6,)), ("step_right", (1,)), ("step_up", (0,))], t
+
+
+def test_walks_stay_bounded_on_bases_that_are_not_binary(monkeypatch):
+    """Bases (4, 63, 63): 63 < 2**6 <= 63**2, so at t = 6 the locate walk reads two digit pairs.
+
+    Walking all 63**2 x 63**2 points of that length would expand 15.7 M
+    strings; restricting the leading pair to digits below 2 keeps the
+    grid at 126 x 126.  Every index has many pairs, so no pair is defined.
+    """
+    transitions = {(0, ((63 * j + k) % 4, j, k)): 0 for j in range(63) for k in range(63)}
+    machine = SyncAutomaton(bases=(4, 63, 63), state_count=1, initial=0, accepting=frozenset({0}),
+                            transitions=transitions)
+    bound = 4 * (4**6 + 2**6 * 2**6)  # four times the indices and the points checked
+    walked = 0
+
+    def tally(total):
+        nonlocal walked
+        walked += 1
+        assert walked <= bound, "the walks expand more strings than the checked range bounds"
+        return total
+
+    walk_paths = sync._path_walk
+    monkeypatch.setattr(sync, "_path_walk", lambda *args: (
+        (counts, map(tally, totals)) for counts, totals in walk_paths(*args)))
+    reports = verify_sync_suite(6, machine=machine)
+    assert [(r.name, r.counterexample) for r in reports if not r.passed] == [
+        ("coords_unique", (0,)), ("grid_covered", (0, 0))]
+    assert walked == 4**6 + 126 * 126
 
 
 def test_zero_padding_failure_is_exact():
