@@ -17,9 +17,13 @@ recognizers on the coordinate and the index: two-state automata reading
 digit pairs (a, b) of the same length that accept exactly when b = a + 1.
 Each relation is projected to the point bits and determinized by subset
 construction (14, 74 and 74 subsets), and the three automata are
-combined as a product (the method of Walnut, Mousavi 2016).
-``render_pbm`` streams the plain PBM rows of a stage from that automaton,
-building the quadtree block of each state once up to a small level;
+combined as a product (the method of Walnut, Mousavi 2016): 128 states
+for the Hilbert machine, which Moore minimization (``minimize_dfao``)
+cuts to 66.  ``hilbert_bitmap()`` is that 66-state machine as a literal
+table, certified by the tests to equal the minimized derivation, so
+rendering neither loads the sync machine nor repeats the construction.
+``render_pbm`` streams the plain PBM rows of a stage from it, building
+the quadtree block of each state once up to a small level;
 ``render_from_walk`` draws the image from the oracle's stage word into a
 ``Bitmap``, the independent reference.  Output is plain-text PBM, chosen
 over the packed binary variant so golden files diff cleanly.
@@ -29,15 +33,13 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import chain, islice
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .dfao import Dfao, Record, determinize, explore
 from .oracle import generate_generation, require_stage, walk
-from .sync import SyncAutomaton, hilbert_sync
 
-# Rendering no longer locates points, but the traced benchmark run
-# (perfbench/tracing.py) installs a counting shim under this name.
-from .sync import sync_locate  # noqa: F401
+if TYPE_CHECKING:
+    from .sync import SyncAutomaton
 
 _MEMO_LEVEL = 6  # pixel rows of 2**6 x 2**6 lattice blocks are kept, once per automaton state
 _PIXEL = (b"0 ", b"1 ")
@@ -52,6 +54,15 @@ class Bitmap(Record):
         self.__dict__.update(width=width, height=height, bits=bits)
         if len(bits) != height or any(len(row) != width for row in bits):
             raise ValueError("bit grid does not match width x height")
+
+
+def __getattr__(name: str):
+    # Rendering locates no points, but the traced benchmark run (perfbench/tracing.py)
+    # installs a counting shim under this name; sync is loaded only when it is looked up.
+    if name != "sync_locate":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .sync import sync_locate
+    return sync_locate
 
 
 def _check_stage(g: int) -> None:
@@ -141,6 +152,84 @@ def bitmap_dfao(machine: SyncAutomaton) -> Dfao:
     return Dfao(base=symbols, transitions=tuple(transitions), outputs=outputs)
 
 
+# (state, targets on the symbols 2 * x_bit + y_bit, (lattice, right, up)) of minimize_dfao(
+# bitmap_dfao(hilbert_sync())); tests/test_bitmap.py certifies the two equal
+_HILBERT_BITMAP_ROWS: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...] = (
+    (0, (0, 1, 2, 3), (1, 0, 1)),
+    (1, (4, 0, 5, 6), (1, 1, 0)),
+    (2, (7, 8, 0, 9), (1, 1, 1)),
+    (3, (10, 11, 12, 13), (1, 0, 0)),
+    (4, (1, 4, 14, 15), (1, 1, 1)),
+    (5, (16, 17, 18, 19), (1, 0, 1)),
+    (6, (20, 21, 22, 23), (1, 1, 0)),
+    (7, (2, 24, 7, 25), (1, 1, 0)),
+    (8, (16, 26, 27, 28), (1, 1, 1)),
+    (9, (29, 30, 31, 32), (1, 0, 0)),
+    (10, (10, 29, 20, 13), (1, 1, 0)),
+    (11, (33, 34, 35, 36), (1, 1, 0)),
+    (12, (37, 38, 39, 40), (1, 0, 1)),
+    (13, (0, 41, 42, 3), (1, 0, 0)),
+    (14, (29, 43, 31, 32), (1, 0, 1)),
+    (15, (37, 44, 39, 45), (1, 0, 0)),
+    (16, (46, 47, 48, 49), (1, 1, 1)),
+    (17, (7, 28, 50, 30), (1, 1, 0)),
+    (18, (4, 51, 5, 22), (1, 1, 0)),
+    (19, (16, 17, 27, 19), (1, 0, 1)),
+    (20, (37, 38, 10, 40), (1, 0, 1)),
+    (21, (2, 24, 52, 53), (1, 1, 0)),
+    (22, (20, 21, 22, 27), (1, 0, 1)),
+    (23, (4, 51, 19, 6), (1, 0, 0)),
+    (24, (20, 21, 54, 23), (1, 1, 0)),
+    (25, (33, 34, 55, 56), (1, 0, 1)),
+    (26, (7, 8, 50, 30), (1, 1, 0)),
+    (27, (4, 51, 19, 22), (1, 0, 0)),
+    (28, (16, 17, 27, 28), (1, 1, 0)),
+    (29, (33, 10, 35, 36), (1, 1, 1)),
+    (30, (29, 30, 31, 17), (1, 0, 0)),
+    (31, (1, 57, 14, 58), (1, 0, 1)),
+    (32, (7, 28, 50, 9), (1, 0, 1)),
+    (33, (29, 33, 31, 17), (1, 0, 1)),
+    (34, (10, 11, 20, 13), (1, 1, 0)),
+    (35, (46, 15, 48, 55), (1, 1, 1)),
+    (36, (2, 24, 56, 53), (1, 0, 0)),
+    (37, (20, 21, 37, 27), (1, 1, 1)),
+    (38, (46, 47, 25, 44), (1, 1, 0)),
+    (39, (10, 29, 12, 13), (1, 0, 0)),
+    (40, (1, 45, 14, 58), (1, 0, 1)),
+    (41, (4, 51, 5, 6), (1, 1, 0)),
+    (42, (7, 8, 50, 9), (1, 0, 1)),
+    (43, (29, 59, 31, 17), (1, 0, 0)),
+    (44, (46, 15, 25, 44), (1, 1, 0)),
+    (45, (1, 45, 14, 15), (1, 1, 0)),
+    (46, (16, 26, 18, 60), (1, 1, 1)),
+    (47, (37, 38, 39, 45), (1, 0, 1)),
+    (48, (33, 34, 35, 56), (1, 0, 1)),
+    (49, (46, 15, 25, 61), (1, 1, 0)),
+    (50, (0, 1, 42, 3), (1, 0, 1)),
+    (51, (0, 41, 2, 3), (1, 0, 0)),
+    (52, (2, 24, 62, 25), (1, 0, 0)),
+    (53, (33, 34, 55, 36), (1, 1, 0)),
+    (54, (20, 21, 63, 27), (1, 1, 1)),
+    (55, (46, 15, 25, 55), (1, 0, 1)),
+    (56, (2, 24, 56, 25), (1, 0, 0)),
+    (57, (1, 64, 14, 15), (1, 1, 1)),
+    (58, (37, 44, 39, 40), (1, 0, 0)),
+    (59, (29, 43, 31, 17), (1, 0, 1)),
+    (60, (16, 17, 27, 65), (1, 0, 1)),
+    (61, (46, 15, 25, 49), (1, 0, 1)),
+    (62, (2, 24, 52, 25), (1, 1, 0)),
+    (63, (20, 21, 54, 27), (1, 0, 1)),
+    (64, (1, 57, 14, 15), (1, 1, 0)),
+    (65, (16, 17, 27, 60), (1, 1, 0)),
+)
+
+
+def hilbert_bitmap() -> Dfao:
+    """The 66-state automatic bitmap of the Hilbert curve, with the outputs of ``bitmap_dfao``."""
+    return Dfao(base=4, transitions=tuple(row for _, row, _ in _HILBERT_BITMAP_ROWS),
+                outputs=tuple(tuple(map(bool, flags)) for _, _, flags in _HILBERT_BITMAP_ROWS))
+
+
 def _block_rows(machine: Dfao):
     """rows(q, level): the pixel rows, bottom-up, of the 2**level-square lattice block read from q.
 
@@ -183,13 +272,13 @@ def render_pbm(g: int) -> Iterator[bytes]:
     """The plain PBM of stage g, header first and then rows top-down, as byte chunks.
 
     The stage is checked before anything is produced; rows are read off
-    ``bitmap_dfao(hilbert_sync())``, so memory stays at the size of one
+    ``hilbert_bitmap()``, so memory stays at the size of one
     band of rows plus the cached blocks, whatever g is.
     """
     _check_stage(g)
     side = 2 ** (g + 1) - 1
     header = f"P1\n{side} {side}\n".encode("ascii")
-    return chain([header], islice(_pixel_rows(bitmap_dfao(hilbert_sync()), g), 1, None))
+    return chain([header], islice(_pixel_rows(hilbert_bitmap(), g), 1, None))
 
 
 def render_generation(g: int) -> Bitmap:

@@ -7,8 +7,9 @@ range of indices at once.  The module also carries what the other
 representations share: the digit-string utilities, the ``Record`` base
 of the package's immutable value classes, and the automaton engine,
 ``explore`` (breadth-first discovery of the states reachable from a
-start) and ``determinize`` (subset construction on top of it), which
-build the automatic bitmap, compare two machines and close a linear
+start), ``determinize`` (subset construction on top of it) and
+``minimize_dfao`` (Moore's partition refinement), which build and
+minimize the automatic bitmap, compare two machines and close a linear
 representation's matrices into an automaton.
 """
 
@@ -19,7 +20,6 @@ from itertools import chain, repeat
 from typing import Hashable
 
 from .oracle import STEP, Direction
-from .textfmt import ParseError, parse_arc, parse_index, parse_int, read_text, require_all
 
 
 def require_base(k: int) -> None:
@@ -240,6 +240,33 @@ def determinize(start, step, accepting, symbols: int):
     return rows, [any(map(accepting, subset)) for subset in subsets]
 
 
+def minimize_dfao(machine: Dfao) -> Dfao:
+    """The least machine with the same output on every digit string (Moore 1956).
+
+    The reachable states start in one class per output; each round splits
+    the classes by the classes their successors fall in, until a round
+    splits none.  The classes are then numbered by ``explore``, so two
+    machines with the same outputs minimize to equal ``Dfao`` values.
+    """
+    rows = machine.transitions
+    reachable, _ = explore(machine.initial, lambda q, d: rows[q][d], machine.base)
+    block = {q: machine.outputs[q] for q in reachable}
+    count = len(set(block.values()))
+    while True:
+        names: dict = {}
+        block = {q: names.setdefault((block[q], *map(block.__getitem__, rows[q])), len(names))
+                 for q in reachable}
+        if len(names) == count:
+            break
+        count = len(names)
+    member: dict = {}  # a state of each class
+    for q in reachable:
+        member.setdefault(block[q], q)
+    order, transitions = explore(block[machine.initial], lambda c, d: block[rows[member[c]][d]], machine.base)
+    return Dfao(base=machine.base, transitions=tuple(transitions),
+                outputs=tuple(machine.outputs[member[c]] for c in order))
+
+
 def dfao_equal(a: Dfao, b: Dfao) -> tuple[bool, dict[int, int] | None]:
     """Decide whether the reachable parts are isomorphic, outputs included.
 
@@ -272,6 +299,8 @@ def dfao_to_text(machine: Dfao) -> str:
 
 def dfao_from_text(text: str) -> Dfao:
     """Parse the text form; raises ParseError with the offending line number."""
+    from .textfmt import ParseError, parse_arc, parse_index, parse_int, read_text, require_all
+
     header_line, fields, body = read_text(text, "dfao", ("base", "states", "initial"))
     base = parse_int(fields["base"], header_line, "base")
     count = parse_int(fields["states"], header_line, "state count")

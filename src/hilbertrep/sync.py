@@ -51,15 +51,19 @@ class _Lookup(NamedTuple):
     """One lookup direction of a machine.
 
     ``arcs[q]`` maps each symbol that state q reads (its fixed digits
-    encoded) to the (output, target) arcs on it.  When the parity check
-    passed, ``live[r & 1][q]`` is the number (0 or 1) of accepted
-    completions of r further steps from q, and ``table[r & 1][q][s]`` is
-    the one arc on symbol s into a state with ``live[r & 1]`` set, or None;
-    a state missing a symbol is dead, and its row is None.  Otherwise both
-    are None and lookups count paths forward (``_forward``).
+    encoded) to the (output, target) arcs on it, and ``targets[q]`` maps
+    it to the same arcs grouped by target: (target, number of arcs into
+    it, output of the first), targets in the order they first occur.
+    When the parity check passed, ``live[r & 1][q]`` is the number (0 or
+    1) of accepted completions of r further steps from q, and
+    ``table[r & 1][q][s]`` is the one arc on symbol s into a state with
+    ``live[r & 1]`` set, or None; a state missing a symbol is dead, and
+    its row is None.  Otherwise both are None and lookups count paths
+    forward (``_forward``).
     """
 
     arcs: tuple
+    targets: tuple
     live: tuple | None
     table: tuple | None
 
@@ -77,6 +81,17 @@ def _live_step(arcs, symbols: int, live):
     return tuple(result)
 
 
+def _by_target(arcs) -> tuple:
+    """(target, number of arcs into it, output of the first) per target of ``arcs``, first seen first."""
+    groups: dict = {}
+    for out, target in arcs:
+        if target in groups:
+            groups[target][1] += 1
+        else:
+            groups[target] = [target, 1, out]
+    return tuple(map(tuple, groups.values()))
+
+
 def _lookup(arcs, symbols: int, accepting: frozenset[int]) -> _Lookup:
     """Derive the parity table over ``symbols`` symbols, or leave it out when the check fails.
 
@@ -85,17 +100,18 @@ def _lookup(arcs, symbols: int, accepting: frozenset[int]) -> _Lookup:
     induction that the count of accepted completions after r steps is
     live0 or live1 by the parity of r, whatever the fixed digits are.
     """
+    targets = tuple({s: _by_target(per_symbol) for s, per_symbol in per_state.items()} for per_state in arcs)
     live0 = tuple(int(q in accepting) for q in range(len(arcs)))
     live1 = _live_step(arcs, symbols, live0)
     if live1 is None or _live_step(arcs, symbols, live1) != live0:
-        return _Lookup(arcs, None, None)
+        return _Lookup(arcs, targets, None, None)
     live = (live0, live1)
     table = tuple(
         tuple(tuple(next((arc for arc in per_state[s] if after[arc[1]]), None) for s in range(symbols))
               if len(per_state) == symbols else None
               for per_state in arcs)
         for after in live)
-    return _Lookup(arcs, live, table)
+    return _Lookup(arcs, targets, live, table)
 
 
 class SyncAutomaton(Record):
@@ -224,15 +240,16 @@ def _forward(machine: SyncAutomaton, lookup: _Lookup, columns) -> list[tuple[int
     them]: two paths that meet in a state share every completion, so
     neither can be the only accepted one, and keeping one loses nothing.
     A path is nested (symbol, output, path before) triples, None when empty.
+    Parallel arcs into one target are read once, as ``lookup.targets`` groups them.
     """
     def step(reached: dict, s: int) -> dict:
         after: dict = {}
         for state, (count, path) in reached.items():
-            for out, target in lookup.arcs[state].get(s, ()):
+            for target, times, out in lookup.targets[state].get(s, ()):
                 if target in after:
-                    after[target][0] += count
+                    after[target][0] += count * times
                 else:
-                    after[target] = [count, (s, out, path)]
+                    after[target] = [count * times, (s, out, path)]
         return after
 
     level = [{machine.initial: [1, None]}]

@@ -9,12 +9,13 @@ from hilbertrep.bitmap import (
     _successor_moves,
     bitmap_dfao,
     count_lit,
+    hilbert_bitmap,
     render_from_walk,
     render_generation,
     render_pbm,
     write_pbm,
 )
-from hilbertrep.dfao import Dfao, eval_dfao
+from hilbertrep.dfao import Dfao, dfao_equal, dfao_walk, eval_dfao, minimize_dfao
 from hilbertrep.oracle import GenerationBudgetError
 from hilbertrep.sync import hilbert_sync
 
@@ -76,6 +77,24 @@ def test_bitmap_dfao_shape():
     assert machine.transitions[machine.initial][0] == machine.initial
     assert machine.state_count == 128
     assert {output[0] for output in machine.outputs} == {True}  # every lattice point is visited
+
+
+def test_minimization_keeps_every_output_of_the_derived_bitmap():
+    """Every digit string of up to 6 digits: the padded indices below 4**t are the strings of length t."""
+    derived = bitmap_dfao(hilbert_sync())
+    minimized = minimize_dfao(derived)
+    assert minimized.state_count == 66
+    assert minimize_dfao(minimized) == minimized
+    for t in range(7):
+        assert dfao_walk(minimized, t) == dfao_walk(derived, t), t
+
+
+def test_the_literal_bitmap_is_the_minimized_derivation():
+    """The certification of ``hilbert_bitmap()``, which rendering reads, against the paper's derivation."""
+    literal, minimized = hilbert_bitmap(), minimize_dfao(bitmap_dfao(hilbert_sync()))
+    assert literal.state_count == 66
+    assert dfao_equal(minimized, literal) == (True, {q: q for q in range(66)})
+    assert minimized == literal  # the literal rows are in explore order, as minimize_dfao numbers them
 
 
 def _interleaved(x: int, y: int) -> int:

@@ -14,6 +14,7 @@ from hilbertrep.dfao import (
     eval_dfao_digits,
     from_base,
     hilbert_dfao,
+    minimize_dfao,
     to_base,
 )
 from hilbertrep.oracle import Direction, hc_prefix
@@ -151,6 +152,22 @@ def test_unreachable_states_are_ignored():
                     outputs=m.outputs + (Direction.L,))  # state 8 is unreachable
     assert dfao_equal(m, extended) == (True, {q: q for q in range(8)})
     assert dfao_equal(extended, m) == (True, {q: q for q in range(8)})
+
+
+def test_minimization_keeps_the_letter_machine():
+    assert minimize_dfao(hilbert_dfao()) == hilbert_dfao()
+
+
+def test_minimization_merges_duplicated_states():
+    """Two copies of the letter machine, each sending odd digits into the other, plus an unreachable state."""
+    m = hilbert_dfao()
+    rows = tuple(tuple(t + 8 * ((d + copy) % 2) for d, t in enumerate(row))
+                 for copy in (0, 1) for row in m.transitions)
+    doubled = Dfao(base=4, transitions=rows + ((16, 0, 0, 0),), outputs=m.outputs * 2 + (Direction.D,))
+    assert dfao_walk(doubled, 4) == dfao_walk(m, 4)
+    assert minimize_dfao(doubled) == m
+    # started in the copy, it minimizes to the same numbering
+    assert minimize_dfao(Dfao(base=4, transitions=rows, outputs=m.outputs * 2, initial=8)) == m
 
 
 def test_not_equal_when_the_bases_differ():

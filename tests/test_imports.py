@@ -68,7 +68,7 @@ def package_imports(name: str) -> set[str]:
 
 
 def test_bitmap_imports_neither_linrep_nor_verify():
-    """Rendering reads the sync machine only; linear representations and suites stay off its path."""
+    """The bitmap derives from the sync machine only; linear representations and suites stay off its path."""
     imported = package_imports("bitmap")
     assert {"dfao", "oracle", "sync"} <= imported
     assert not imported & {"linrep", "verify"}
@@ -104,8 +104,8 @@ def test_importing_the_package_loads_no_module():
     assert loaded_modules() == {"hilbertrep"}
 
 
-def test_render_loads_only_the_sync_machine_and_the_bitmap(tmp_path):
-    expected = {"hilbertrep"} | {f"hilbertrep.{name}" for name in ("bitmap", "dfao", "oracle", "sync", "textfmt")}
+def test_render_loads_only_the_bitmap_machine(tmp_path):
+    expected = {"hilbertrep"} | {f"hilbertrep.{name}" for name in ("bitmap", "dfao", "oracle")}
     assert loaded_modules("render", "1", "-o", str(tmp_path / "stage.pbm")) == expected
 
 

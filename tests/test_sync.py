@@ -302,6 +302,57 @@ def test_locate_walk_matches_per_point_lookups_on_single_faults():
     assert len(paths) == 451 and {"table", "search"} <= set(paths)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_parallel_arcs_into_one_state_are_counted_by_multiplicity(k):
+    """State 0 reads each coordinate pair with an index digit below k into itself, else into dead state 1.
+
+    Each point of d bits then has k**d accepted indices, and each index
+    whose digits are all below k has 4**d accepted pairs; the forward count
+    visits each target once per step, with the number of arcs into it.
+    """
+    transitions = {(0, (i, j, l)): int(i >= k) for i in range(4) for j in range(2) for l in range(2)}
+    machine = _search_only(SyncAutomaton(bases=(4, 2, 2), state_count=2, initial=0,
+                                         accepting=frozenset({0}), transitions=transitions))
+    for s in range(4):
+        assert machine._locate.targets[0][s] == ((0, k, 0), (1, 4 - k, k))
+        assert machine._coords.targets[0][s] == ((int(s >= k), 4, (0, 0)),)
+    for x, y, bits in ((0, 0, 1), (5, 3, 3), (2**12 - 1, 0, 12)):
+        if k == 1:
+            assert sync_locate(machine, x, y) == 0
+        else:
+            message = rf"^{k**bits} indices accepted for coordinates \({x}, {y}\)$"
+            with pytest.raises(MultipleAcceptingPathsError, match=message):
+                sync_locate(machine, x, y)
+    if k == 1:
+        assert sync_locate_walk(machine, 3) == [0] * 64
+    for digits in ((0,), (2, 1, 0, 2), (1,) * 12):
+        n = int("".join(map(str, digits)), 4)
+        if max(digits) < k:
+            message = f"^{4**len(digits)} coordinate pairs accepted for index {n}$"
+            with pytest.raises(MultipleAcceptingPathsError, match=message):
+                sync_coords(machine, n)
+        else:
+            with pytest.raises(NoAcceptingPathError, match=f"^no coordinate pair accepted for index {n}$"):
+                sync_coords(machine, n)
+
+
+def test_parallel_arcs_from_two_states_add_up_where_they_meet():
+    """State 0 reads index digits 0-1 into state 1 and 2-3 into state 2; both read every digit into 0.
+
+    Every index string is accepted, so a point of d bits has 4**d indices:
+    at each return to state 0 the counts of both states arrive, each
+    times its 4 parallel arcs.
+    """
+    transitions = {(q, (i, j, l)): 0 if q else 1 + i // 2
+                   for q in range(3) for i in range(4) for j in range(2) for l in range(2)}
+    machine = _search_only(SyncAutomaton(bases=(4, 2, 2), state_count=3, initial=0,
+                                         accepting=frozenset(range(3)), transitions=transitions))
+    for x, y, bits in ((0, 0, 1), (5, 3, 3), (2**12 - 1, 0, 12)):
+        message = rf"^{4**bits} indices accepted for coordinates \({x}, {y}\)$"
+        with pytest.raises(MultipleAcceptingPathsError, match=message):
+            sync_locate(machine, x, y)
+
+
 def _with_state_ten(accepting, arcs):
     """The Hilbert machine with an eleventh state, 10, and ``arcs`` added."""
     m = hilbert_sync()
