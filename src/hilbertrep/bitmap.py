@@ -89,7 +89,10 @@ def _successor_moves(k: int) -> dict[tuple[int, int, int], int]:
 def _tracks(machine: SyncAutomaton):
     """The lattice, right-connector and up-connector automata over point bit pairs."""
     bn, bx, by = machine.bases
-    arcs = machine._locate.arcs  # arcs[state][x digit * by + y digit]: [(index digit, target)]
+    # arcs[state][x digit * by + y digit]: (index digit, target) of every arc; the connectors pair the digits
+    arcs = [{} for _ in range(machine.state_count)]
+    for (q, (i, j, k)), target in machine.transitions.items():
+        arcs[q].setdefault(j * by + k, []).append((i, target))
     final = machine.accepting.__contains__
 
     def on_curve(q, s):

@@ -10,8 +10,8 @@ and the index from coordinates, in time linear in the digit count.
 Each lookup direction fixes some digits (the index digit for coordinates,
 the coordinate bits for the index) and chooses the rest.  When a machine
 is built, its arcs are indexed once per direction, each state mapping
-only the symbols it reads, so the index is as large as the transition
-list; the automatic bitmap reads the same index.  Each direction is then
+only the symbols it reads to the targets of its arcs on them, so the
+index is no larger than the transition list.  Each direction is then
 checked: if the number of accepted completions of r further steps from
 every state is 0 or 1, independent of the fixed digits, and depends on r
 only through its parity, then a table keyed by (parity of the digits
@@ -50,29 +50,27 @@ class MultipleAcceptingPathsError(ValueError):
 class _Lookup(NamedTuple):
     """One lookup direction of a machine.
 
-    ``arcs[q]`` maps each symbol that state q reads (its fixed digits
-    encoded) to the (output, target) arcs on it, and ``targets[q]`` maps
-    it to the same arcs grouped by target: (target, number of arcs into
-    it, output of the first), targets in the order they first occur.
-    When the parity check passed, ``live[r & 1][q]`` is the number (0 or
-    1) of accepted completions of r further steps from q, and
-    ``table[r & 1][q][s]`` is the one arc on symbol s into a state with
-    ``live[r & 1]`` set, or None; a state missing a symbol is dead, and
-    its row is None.  Otherwise both are None and lookups count paths
-    forward (``_forward``).
+    ``targets[q]`` maps each symbol that state q reads (its fixed digits
+    encoded) to its arcs on it grouped by target: (target, number of arcs
+    into it, output of the first), targets in the order they first occur
+    among the sorted transitions.  When the parity check passed,
+    ``live[r & 1][q]`` is the number (0 or 1) of accepted completions of r
+    further steps from q, and ``table[r & 1][q][s]`` is the (output,
+    target) of the one arc on symbol s into a state with ``live[r & 1]``
+    set, or None; a state missing a symbol is dead, and its row is None.
+    Otherwise both are None and lookups count paths forward (``_forward``).
     """
 
-    arcs: tuple
     targets: tuple
     live: tuple | None
     table: tuple | None
 
 
-def _live_step(arcs, symbols: int, live):
+def _live_step(targets, symbols: int, live):
     """Completion counts one step further back, or None unless each is 0 or 1 for every symbol."""
     result = []
-    for per_state in arcs:
-        sums = {sum(live[target] for _, target in per_symbol) for per_symbol in per_state.values()}
+    for per_state in targets:
+        sums = {sum(times * live[target] for target, times, _ in groups) for groups in per_state.values()}
         if len(per_state) < symbols:
             sums.add(0)  # an unread symbol has no completion
         if len(sums) != 1 or not sums <= {0, 1}:
@@ -81,37 +79,27 @@ def _live_step(arcs, symbols: int, live):
     return tuple(result)
 
 
-def _by_target(arcs) -> tuple:
-    """(target, number of arcs into it, output of the first) per target of ``arcs``, first seen first."""
-    groups: dict = {}
-    for out, target in arcs:
-        if target in groups:
-            groups[target][1] += 1
-        else:
-            groups[target] = [target, 1, out]
-    return tuple(map(tuple, groups.values()))
-
-
-def _lookup(arcs, symbols: int, accepting: frozenset[int]) -> _Lookup:
+def _lookup(targets, symbols: int, accepting: frozenset[int]) -> _Lookup:
     """Derive the parity table over ``symbols`` symbols, or leave it out when the check fails.
 
     Starting from the accepting indicator live0, one step gives live1 and
     a second must give live0 again; with the per-step check this proves by
     induction that the count of accepted completions after r steps is
-    live0 or live1 by the parity of r, whatever the fixed digits are.
+    live0 or live1 by the parity of r, whatever the fixed digits are.  A
+    live target passes only with one arc into it, whose output its group holds.
     """
-    targets = tuple({s: _by_target(per_symbol) for s, per_symbol in per_state.items()} for per_state in arcs)
-    live0 = tuple(int(q in accepting) for q in range(len(arcs)))
-    live1 = _live_step(arcs, symbols, live0)
-    if live1 is None or _live_step(arcs, symbols, live1) != live0:
-        return _Lookup(arcs, targets, None, None)
+    live0 = tuple(int(q in accepting) for q in range(len(targets)))
+    live1 = _live_step(targets, symbols, live0)
+    if live1 is None or _live_step(targets, symbols, live1) != live0:
+        return _Lookup(targets, None, None)
     live = (live0, live1)
     table = tuple(
-        tuple(tuple(next((arc for arc in per_state[s] if after[arc[1]]), None) for s in range(symbols))
+        tuple(tuple(next(((out, target) for target, _, out in per_state[s] if after[target]), None)
+                    for s in range(symbols))
               if len(per_state) == symbols else None
-              for per_state in arcs)
+              for per_state in targets)
         for after in live)
-    return _Lookup(arcs, targets, live, table)
+    return _Lookup(targets, live, table)
 
 
 class SyncAutomaton(Record):
@@ -142,15 +130,14 @@ class SyncAutomaton(Record):
             if any(not 0 <= d < base for d, base in zip(triple, bases)):
                 raise ValueError(f"transition digits {triple} out of range for bases {bases}")
         bn, bx, by = bases
-        by_index = [{} for _ in range(state_count)]
-        by_point = [{} for _ in range(state_count)]
-        for (q, (i, j, k)), target in sorted(transitions.items()):
-            by_index[q].setdefault(i, []).append(((j, k), target))
-            by_point[q].setdefault(j * by + k, []).append((i, target))
         # index digit -> coordinate bits, and coordinate bits -> index digit; built once
-        for name, arcs, symbols in (("_coords", by_index, bn), ("_locate", by_point, bx * by)):
-            frozen = tuple({s: tuple(a) for s, a in reads.items()} for reads in arcs)
-            self.__dict__[name] = _lookup(frozen, symbols, accepting)
+        grouped = ([{} for _ in range(state_count)], [{} for _ in range(state_count)])
+        for (q, (i, j, k)), target in sorted(transitions.items()):
+            for reads, s, out in zip(grouped, (i, j * by + k), ((j, k), i)):
+                reads[q].setdefault(s, {}).setdefault(target, [target, 0, out])[1] += 1
+        for name, reads, symbols in zip(("_coords", "_locate"), grouped, (bn, bx * by)):
+            targets = tuple({s: tuple(map(tuple, g.values())) for s, g in row.items()} for row in reads)
+            self.__dict__[name] = _lookup(targets, symbols, accepting)
 
 
 _HILBERT_SYNC_ROWS: tuple[tuple[int, Triple, int], ...] = (

@@ -17,7 +17,7 @@ from hilbertrep.bitmap import (
 )
 from hilbertrep.dfao import Dfao, dfao_equal, dfao_walk, eval_dfao, minimize_dfao
 from hilbertrep.oracle import GenerationBudgetError
-from hilbertrep.sync import hilbert_sync
+from hilbertrep.sync import SyncAutomaton, accepts, hilbert_sync
 
 GOLDEN = Path(__file__).parent / "data" / "gen1.pbm"
 
@@ -111,6 +111,29 @@ def test_bitmap_dfao_reads_the_pixel_blocks_of_the_walk_image():
         for y in range(2**g):
             block = (bits[2 * y][2 * x], bits[2 * y][2 * x + 1], bits[2 * y + 1][2 * x])
             assert eval_dfao(machine, _interleaved(x, y)) == block, (x, y)
+
+
+def test_bitmap_dfao_reads_every_index_digit_of_parallel_arcs():
+    """The Hilbert machine plus 0 [2,0,0] -> 0, parallel to 0 [0,0,0] -> 0: a brute force over n < 4**5.
+
+    The two arcs read the same point symbol into the same target, so only
+    their index digits tell them apart, and the connectors pair those.
+    """
+    m = hilbert_sync()
+    machine = SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
+                            accepting=m.accepting, transitions={**m.transitions, (0, (2, 0, 0)): 0})
+    derived = bitmap_dfao(machine)
+    assert dfao_walk(derived, 1) != dfao_walk(bitmap_dfao(m), 1)
+    points = [(x, y) for x in range(9) for y in range(9)]
+    indices = {p: {n for n in range(4**5) if accepts(machine, n, *p)} for p in points}
+
+    def joined(p, p2):
+        return any(n + 1 in indices[p2] or n - 1 in indices[p2] for n in indices[p])
+
+    for x in range(8):
+        for y in range(8):
+            block = (bool(indices[x, y]), joined((x, y), (x + 1, y)), joined((x, y), (x, y + 1)))
+            assert eval_dfao(derived, _interleaved(x, y)) == block, (x, y)
 
 
 def test_connectors_join_exactly_two_lattice_pixels():

@@ -365,8 +365,9 @@ def test_a_state_missing_a_symbol_has_no_completion_on_it():
     # state 10 reads only the zero triple and accepts nothing, so it is dead; state 0 can enter it
     dead = _with_state_ten(m.accepting, {(0, (1, 0, 0)): 10, (10, (0, 0, 0)): 10})
     for lookup in (dead._coords, dead._locate):
-        assert sum(len(arcs) for per_state in lookup.arcs for arcs in per_state.values()) == 46
-        assert list(lookup.arcs[10]) == [0]
+        assert sum(times for per_state in lookup.targets for groups in per_state.values()
+                   for _, times, _ in groups) == 46
+        assert list(lookup.targets[10]) == [0]
         assert lookup.table[0][10] is None and lookup.table[1][10] is None
     assert lookup_paths(dead) == {"coords": "table", "locate": "table"}
     assert sync_walk(dead, 4) == POINTS
