@@ -35,7 +35,7 @@ from functools import cache
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterator
 
-from .dfao import Dfao, Record, determinize, explore
+from .dfao import Dfao, Record, _successor_moves, determinize, explore
 from .oracle import generate_generation, require_stage, walk
 
 if TYPE_CHECKING:
@@ -69,21 +69,6 @@ def _check_stage(g: int) -> None:
     if g < 1:
         raise ValueError(f"stage index must be at least 1, got {g}")
     require_stage(g)
-
-
-def _successor_moves(k: int) -> dict[tuple[int, int, int], int]:
-    """The msd-first recognizer of b = a + 1 on same-length base-k digit strings.
-
-    ``moves[state, a_digit, b_digit]`` is the next state; a missing key
-    rejects.  State 0, the start, means "equal so far"; state 1, the only
-    final state, means b's digit went one above a's and every digit since
-    has been k-1 in a and 0 in b.  A leading zero pad leaves room for a
-    carry out of the top digit.
-    """
-    moves = {(0, d, d): 0 for d in range(k)}
-    moves.update({(0, d, d + 1): 1 for d in range(k - 1)})
-    moves[1, k - 1, 0] = 1
-    return moves
 
 
 def _tracks(machine: SyncAutomaton):

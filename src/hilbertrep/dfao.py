@@ -227,6 +227,21 @@ def explore(start, successor, symbols: int):
     return order, rows
 
 
+def _successor_moves(k: int) -> dict[tuple[int, int, int], int]:
+    """The msd-first recognizer of b = a + 1 on same-length base-k digit strings.
+
+    ``moves[state, a_digit, b_digit]`` is the next state; a missing key
+    rejects.  State 0, the start, means "equal so far"; state 1, the only
+    final state, means b's digit went one above a's and every digit since
+    has been k-1 in a and 0 in b.  A leading zero pad leaves room for a
+    carry out of the top digit.
+    """
+    moves = {(0, d, d): 0 for d in range(k)}
+    moves.update({(0, d, d + 1): 1 for d in range(k - 1)})
+    moves[1, k - 1, 0] = 1
+    return moves
+
+
 def determinize(start, step, accepting, symbols: int):
     """Subset construction from the NFA states ``start``: transition rows and accepting flags.
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
 
-from .dfao import Dfao, Record, explore, from_base, require_base
+from .dfao import Dfao, Record, _successor_moves, explore, from_base, require_base
 from .oracle import STEP
 from .ratmat import SpanBasis, identity, mat_mul, mat_vec, matrix, transpose, vec_mat, vector
 from .textfmt import ParseError, parse_index, parse_int, read_text, require_all
@@ -285,6 +285,8 @@ def increment_transducer(k: int) -> Transducer:
     state the machine either copies the digit, or (guessing that every
     remaining digit is k-1) emits digit + 1 and moves to the carry state,
     which rewrites trailing k-1 digits to 0 and is the only final state.
+    Its moves are those of the successor recognizer ``_successor_moves``
+    (shared with the bitmap derivation), each emitting its second digit.
     A start-state arc on k-1 emits the two digits 1, 0 so that all-(k-1)
     inputs map to their one-digit-longer successor.  Exactly one path
     accepts for every nonempty input: the guess must happen at the last
@@ -292,15 +294,10 @@ def increment_transducer(k: int) -> Transducer:
     """
     require_base(k)
     start, carry, copy = 0, 1, 2
-    moves = set()
-    for d in range(k):
-        moves.add((start, d, (d,), copy))
-        moves.add((copy, d, (d,), copy))
-        if d < k - 1:
-            moves.add((start, d, (d + 1,), carry))
-            moves.add((copy, d, (d + 1,), carry))
+    moves = {(source, d, (e,), (copy, carry)[target])  # recognizer state 0 is start and copy, 1 is carry
+             for (state, d, e), target in _successor_moves(k).items()
+             for source in ((start, copy), (carry,))[state]}
     moves.add((start, k - 1, (1, 0), carry))
-    moves.add((carry, k - 1, (0,), carry))
     return Transducer(base=k, state_count=3, initial=start,
                       final=frozenset({carry}), moves=frozenset(moves))
 

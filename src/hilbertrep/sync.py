@@ -19,9 +19,10 @@ left, state, fixed digits) names the one arc that can still reach
 acceptance.  The Hilbert machine passes in both directions.  Elsewhere
 (an imported or corrupted machine, or a digit count whose parity leaves
 the initial state dead) one forward pass counts the paths into each state
-it reaches, which also finds ambiguous lookups.  ``sync_walk`` and
-``sync_locate_walk`` answer every index or grid point of a digit count
-at once, reading each shared prefix once, for every machine.
+it reaches, which also finds ambiguous lookups, and carries the value of
+one of them: its outputs for a lookup, its weight sum for a walk.
+``sync_walk`` and ``sync_locate_walk`` answer every index or grid point
+of a digit count at once, for every machine, reading each prefix once.
 
 Transitions not listed are dead; the dead state is implicit.
 """
@@ -218,51 +219,51 @@ def accepts(machine: SyncAutomaton, n: int, x: int, y: int) -> bool:
     return state in machine.accepting
 
 
-def _forward(machine: SyncAutomaton, lookup: _Lookup, columns) -> list[tuple[int, tuple | None]]:
-    """The number of accepted paths reading each string, and one of them.
+def _forward(machine: SyncAutomaton, lookup: _Lookup, columns, extend, start) -> list[tuple[int, object]]:
+    """The number of accepted paths reading each string, and the value of one of them.
 
     The strings read one symbol from each of ``columns`` in turn and come
     in symbol order, expanded together so a shared prefix is read once.
-    Each level maps the states a prefix reaches to [paths into it, one of
-    them]: two paths that meet in a state share every completion, so
-    neither can be the only accepted one, and keeping one loses nothing.
-    A path is nested (symbol, output, path before) triples, None when empty.
+    Each level maps the states a prefix reaches to [paths into it, value
+    of the first]: two paths that meet in a state share every completion,
+    so neither can be the only accepted one, and keeping one loses nothing.
+    A value grows from ``start`` by ``extend(value, symbol, output, left)``
+    per arc, ``left`` symbols from the end; it is None where none accepts.
     Parallel arcs into one target are read once, as ``lookup.targets`` groups them.
     """
-    def step(reached: dict, s: int) -> dict:
+    def step(reached: dict, s: int, left: int) -> dict:
         after: dict = {}
-        for state, (count, path) in reached.items():
+        for state, (count, value) in reached.items():
             for target, times, out in lookup.targets[state].get(s, ()):
                 if target in after:
                     after[target][0] += count * times
                 else:
-                    after[target] = [count * times, (s, out, path)]
+                    after[target] = [count * times, extend(value, s, out, left)]
         return after
 
-    level = [{machine.initial: [1, None]}]
-    for symbols in columns[:-1]:
-        level = [step(reached, s) for reached in level for s in symbols]
-    ends = ([entry for state, entry in step(reached, s).items() if state in machine.accepting]
+    level = [{machine.initial: [1, start]}]
+    for left, symbols in zip(range(len(columns) - 1, 0, -1), columns[:-1]):
+        level = [step(reached, s, left) for reached in level for s in symbols]
+    ends = ([entry for state, entry in step(reached, s, 0).items() if state in machine.accepting]
             for reached in level for s in columns[-1])  # the last level is reduced as it is read
     return [(sum(count for count, _ in entries), entries[0][1] if entries else None) for entries in ends]
 
 
-def _back_along(path):
-    """The (symbol, output) of each arc of a path, last arc first."""
-    while path:
-        symbol, out, path = path
-        yield symbol, out
-
-
 def _accepted_path(machine: SyncAutomaton, lookup: _Lookup, symbols) -> tuple[int, list]:
-    """The number of accepted paths reading ``symbols`` (at most 1 by table) and the outputs along one."""
-    if lookup.table is None:
-        [(count, path)] = _forward(machine, lookup, [(s,) for s in symbols])
-        return count, [out for _, out in _back_along(path)][::-1]
+    """The number of accepted paths reading ``symbols`` and the outputs along one.
+
+    By table where its live vector keeps the initial state alive, else by ``_forward``.
+    """
     parity = len(symbols) & 1
     state = machine.initial
-    if not lookup.live[parity][state]:
-        return 0, []
+    if lookup.table is None or not lookup.live[parity][state]:
+        [(count, path)] = _forward(machine, lookup, [(s,) for s in symbols],
+                                   lambda path, s, out, left: (out, path), None)
+        outputs = []
+        while path:
+            out, path = path
+            outputs.append(out)
+        return count, outputs[::-1]
     table = lookup.table
     outputs = []
     for s in symbols:
@@ -277,9 +278,9 @@ def sync_coords(machine: SyncAutomaton, n: int) -> Point:
 
     Arcs fix the index digit and choose the two coordinate bits.  When the
     machine passed the parity check for this direction (the Hilbert
-    machine does), the live vector for the digit count's parity decides
-    whether a pair exists and one pass through the table reads it off;
-    otherwise ``_forward`` counts the paths into each state it reaches.
+    machine does) and the live vector for the digit count's parity keeps
+    the initial state alive, one pass through the table reads the pair
+    off; otherwise ``_forward`` counts the paths into each state it reaches.
     Either way the work is linear in the digit count.  Raises
     NoAcceptingPathError or MultipleAcceptingPathsError when the machine
     does not define exactly one pair.
@@ -305,10 +306,11 @@ def _path_walk(machine: SyncAutomaton, lookup: _Lookup, symbol_sets, weight):
     0.  Yields one pair per length, to be read before the next: the number
     of accepted paths reading each string in symbol order, and the sum of
     ``weight(symbol, output, left)`` along the one path where that number
-    is 1 (None elsewhere).  Where the parity table covers the length, each
-    number is 1 and None comes instead of the list; elsewhere ``_forward``
-    counts.  Either way the strings are expanded together, one symbol per
-    level, so a shared prefix is read once.
+    is 1 (None elsewhere).  Where a parity table exists and its live vector
+    keeps the initial state alive for the length, each number is 1 and None
+    comes instead of the list; elsewhere ``_forward`` counts, carrying each
+    path's running sum.  Either way the strings are expanded together, one
+    symbol per level, so a shared prefix is read once.
     """
     rows = lookup.table and [  # rows[left][state]: (weight, target) per symbol of the set, or None
         [per_state and [(arc := per_state[s]) and (weight(s, arc[0], left), arc[1]) for s in symbols]
@@ -318,10 +320,9 @@ def _path_walk(machine: SyncAutomaton, lookup: _Lookup, symbol_sets, weight):
         lefts = range(length - 1, -1, -1)
         starts = [int(0 < left == length - 1) for left in lefts]  # skip a leading 0 past one symbol
         if not (rows and lookup.live[length & 1][machine.initial]):
-            ends = _forward(machine, lookup, [symbol_sets[left][i:] for left, i in zip(lefts, starts)])
-            yield ([count for count, _ in ends],
-                   [sum(weight(s, out, left) for left, (s, out) in enumerate(_back_along(path)))
-                    if count == 1 else None for count, path in ends])
+            ends = _forward(machine, lookup, [symbol_sets[left][i:] for left, i in zip(lefts, starts)],
+                            lambda total, s, out, left: total + weight(s, out, left), 0)
+            yield [count for count, _ in ends], [total if count == 1 else None for count, total in ends]
             continue
         level = [(machine.initial, 0)]
         for left, start in zip(lefts[:-1], starts):
@@ -441,7 +442,7 @@ def sync_locate_walk(machine: SyncAutomaton, t: int) -> list[int]:
 
 
 def lookup_paths(machine: SyncAutomaton) -> dict[str, str]:
-    """Which path answers each lookup direction: ``table`` or ``search``."""
+    """Which path answers each lookup direction: ``table`` (but not for a dead parity) or ``search``."""
     return {name: "search" if lookup.table is None else "table"
             for name, lookup in (("coords", machine._coords), ("locate", machine._locate))}
 

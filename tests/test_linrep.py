@@ -230,6 +230,18 @@ def test_transduce_with_identity_is_a_no_op():
         assert eval_linrep(same, n) == eval_linrep(rep, n)
 
 
+
+def test_transduce_with_an_empty_output_word():
+    """A move that emits nothing contributes the identity matrix of its block."""
+    rep = hilbert_linrep()
+    drop_ones = Transducer(base=4, state_count=1, initial=0, final=frozenset({0}),
+                           moves=frozenset((0, d, () if d == 1 else (d,), 0) for d in range(4)))
+    dropped = transduce_rep(rep, drop_ones)
+    for length in range(5):
+        for digits in itertools.product(range(4), repeat=length):
+            [out] = transducer_outputs(drop_ones, digits)
+            assert eval_linrep_digits(dropped, digits) == eval_linrep_digits(rep, out), digits
+
 def test_transducer_validation():
     def build(base=4, initial=0, moves=()):
         return Transducer(base=base, state_count=1, initial=initial, final=frozenset({0}),

@@ -50,6 +50,18 @@ def test_identities_catch_a_corrupted_machine():
     assert all(r.counterexample is not None for r in failed)
 
 
+
+@pytest.mark.parametrize("state, letter, failure", [
+    (3, Direction.U, ("block_boundary", (1,))),  # letter 4**1 - 1 = 3 must be R
+    (2, Direction.U, ("third_quarter_boundary", (0,))),  # letter 3 * 4**0 - 1 = 2 must be D
+])
+def test_identities_name_the_first_wrong_boundary_letter(state, letter, failure):
+    m = hilbert_dfao()
+    outputs = list(m.outputs)
+    outputs[state] = letter
+    reports = verify_identities(3, machine=Dfao(base=4, transitions=m.transitions, outputs=tuple(outputs)))
+    assert failure in [(r.name, r.counterexample) for r in reports if not r.passed]
+
 def test_sync_suite_passes_at_small_bound():
     reports = verify_sync_suite(3)
     assert all(r.passed for r in reports)
@@ -162,6 +174,19 @@ def test_pairs_outside_the_walked_grid_are_located_on_their_own():
             ("grid_covered", (0, 1)), ("oracle_agreement", (1,)), ("step_down", (2,)),
             ("step_left", (6,)), ("step_right", (1,)), ("step_up", (0,))], t
 
+
+
+def test_a_pair_outside_the_walked_grid_that_locates_to_several_indices_fails_round_trip():
+    """Index 1 also reads x digit 32, so indices 1 and 2 share the pair (32, 0) outside the square."""
+    spread = _spread()
+    machine = SyncAutomaton(bases=spread.bases, state_count=2, initial=0, accepting=spread.accepting,
+                            transitions={**spread.transitions, (0, (1, 32, 0)): 0})
+    assert sync_coords(machine, 2) == (32, 0)
+    with pytest.raises(MultipleAcceptingPathsError, match="^2 indices accepted for coordinates"):
+        sync_locate(machine, 32, 0)
+    for t in (2, 4):
+        by_name = {r.name: r.counterexample for r in verify_sync_suite(t, machine=machine)}
+        assert by_name["coords_unique"] == (1,) and by_name["round_trip"] == (2,), t
 
 def test_walks_stay_bounded_on_bases_that_are_not_binary(monkeypatch):
     """Bases (4, 63, 63): 63 < 2**6 <= 63**2, so at t = 6 the locate walk reads two digit pairs.
