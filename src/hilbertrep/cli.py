@@ -11,6 +11,8 @@ Exit codes, all decided in ``main``: 0 success, 1 a ``verify`` check failed,
 parsing prints one ``error:`` line on stderr; no input gives a traceback.
 Each subcommand imports the modules it runs when it runs, so a command
 line process loads no more of the package than its command needs.
+Decimal arguments and answers may be longer than CPython's default limit
+of 4300 digits: ``main`` lifts it while a command runs.
 """
 
 from __future__ import annotations
@@ -239,6 +241,22 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # An answer outgrows CPython's default limit of 4300 decimal digits per int
+    # (coordinates of a 15000-digit index); an argument read back is as long.
+    # A command line argument is at most 128 KiB on Linux, which reads in
+    # about 0.1 s, so the limit is lifted while a command runs.  Python 3.10
+    # before 3.10.7 has no limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help

@@ -16,7 +16,7 @@ representation's matrices into an automaton.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from typing import Hashable
 
 from .oracle import STEP, Direction
@@ -28,11 +28,31 @@ def require_base(k: int) -> None:
         raise ValueError(f"base must be at least 2, got {k}")
 
 
+# The bases whose digits fill whole bytes, each with its digits per byte, the
+# digits of each byte value 0 ... 255 (bytes of digit values), and the
+# translation of a digit value to the character ``int`` reads for it ("!" where out of range)
+_BYTE_DIGITS = {
+    k: (w, tuple(map(bytes, product(range(k), repeat=w))),
+        bytes(b"0123456789abcdef"[d] if d < k else 33 for d in range(256)))
+    for k, w in ((2, 8), (4, 4), (16, 2))}
+
+
 def to_base(n: int, k: int) -> tuple[int, ...]:
-    """Canonical base-k digits of n, most significant first; zero is (0,)."""
+    """Canonical base-k digits of n, most significant first; zero is (0,).
+
+    In bases 2, 4 and 16 the digits are read off ``n.to_bytes`` one byte
+    at a time through a table, in time linear in the digit count; other
+    bases peel one digit per ``divmod``.
+    """
     require_base(k)
     if n < 0:
         raise ValueError(f"cannot represent negative value {n}")
+    if k in _BYTE_DIGITS:
+        width, table, _ = _BYTE_DIGITS[k]
+        bits = n.bit_length()
+        count = -(-bits * width // 8) or 1  # n's digits, 8 // width bits each; zero has one
+        digits = b"".join(map(table.__getitem__, n.to_bytes((bits + 7) // 8 or 1, "big")))
+        return tuple(digits[len(digits) - count:])
     if n == 0:
         return (0,)
     digits = []
@@ -43,7 +63,18 @@ def to_base(n: int, k: int) -> tuple[int, ...]:
 
 
 def from_base(digits, k: int) -> int:
-    """Value of a most-significant-first digit string in base k."""
+    """Value of a most-significant-first digit string in base k.
+
+    In bases 2, 4 and 16 ``int`` reads the digits from bytes, in time
+    linear in the digit count; other bases, the empty string and a string
+    with a digit out of range go through the Horner loop.
+    """
+    digits = tuple(digits)
+    if k in _BYTE_DIGITS:
+        try:
+            return int(bytes(digits).translate(_BYTE_DIGITS[k][2]), k)
+        except (TypeError, ValueError):  # empty, or a digit out of range: the loop says which
+            pass
     value = 0
     for digit in digits:
         if not 0 <= digit < k:

@@ -216,18 +216,28 @@ def _eval(rep: LinearRep, n: int, length: int) -> tuple:
     """v . gamma(d_1) ... gamma(d_t) . w on the digits of n, led by zeros up to ``length`` digits.
 
     Blocks of b digits come off n from its least significant end, one
-    matrix-vector product with a block product each.  The leading block
+    matrix-vector product with a block product each; where a block spans
+    256 values (bases 2, 4 and 16) the blocks are the bytes of
+    ``n.to_bytes``, else they are peeled by ``divmod``.  The leading block
     keeps its own width, 1 to b digits: padding it with zeros would be
     wrong for representations whose gamma(0) does not fix v.
     """
     places, blocks = rep._places, rep._blocks
     width = len(places) - 1
     step, full = places[width], blocks[width]
+    if step == 256:  # a block is one byte of n
+        count = max((n.bit_length() - 1) // 8, (length - 1) // width, 0)
+        *low, n = n.to_bytes(count + 1, "little")
+        length -= count * width
+    else:
+        low = []
+        while length > width or n >= step:
+            n, block = divmod(n, step)
+            low.append(block)
+            length -= width
     col = rep.w
-    while length > width or n >= step:
-        n, low = divmod(n, step)
-        col = mat_vec(full[low], col)
-        length -= width
+    for block in low:
+        col = mat_vec(full[block], col)
     lead = max(length, bisect_right(places, n))  # n's own digit count, or the padded length
     if lead:
         col = mat_vec(blocks[lead][n], col)

@@ -90,7 +90,10 @@ def require_stage(n: int) -> None:
     The budget is ``HILBERT_BUDGET`` if set and not empty, else DEFAULT_MAX_GENERATION.
     """
     value = os.environ.get("HILBERT_BUDGET")
-    budget = int(value) if value else DEFAULT_MAX_GENERATION
+    try:
+        budget = int(value) if value else DEFAULT_MAX_GENERATION
+    except ValueError:
+        raise ValueError(f"HILBERT_BUDGET must be an integer, got {value!r}") from None
     if n > budget:
         raise GenerationBudgetError(f"stage {n} is beyond the budget of stage {budget}")
 

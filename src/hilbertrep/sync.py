@@ -291,11 +291,8 @@ def sync_coords(machine: SyncAutomaton, n: int) -> Point:
     if total > 1:
         raise MultipleAcceptingPathsError(f"{total} coordinate pairs accepted for index {n}")
     _, bx, by = machine.bases
-    x = y = 0
-    for j, k in outputs:
-        x = bx * x + j
-        y = by * y + k
-    return Point(x, y)
+    xs, ys = zip(*outputs)
+    return Point(from_base(xs, bx), from_base(ys, by))
 
 
 def _path_walk(machine: SyncAutomaton, lookup: _Lookup, symbol_sets, weight):

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 
 from hilbertrep import cli
 from hilbertrep.cli import main
+from hilbertrep.dfao import to_base
 from hilbertrep.sync import hilbert_sync, sync_from_text, sync_to_text
 
 
@@ -49,6 +50,41 @@ def test_locate(capsys):
     assert run(capsys, "locate", "3", "3")[1] == "10\n"
     assert run(capsys, "locate", "0", "0")[1] == "0\n"
     assert run(capsys, "locate", "0", "3")[1] == "15\n"
+
+
+class _AnyIntLength:
+    """Lifts CPython's int text limit (4300 decimal digits) inside the block, for the test's own reads."""
+
+    def __enter__(self):
+        self.limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if self.limit:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        if self.limit:
+            sys.set_int_max_str_digits(self.limit)
+
+
+def test_coords_answer_past_the_int_text_limit_locates_back(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    index = "3" * 15000  # the last point of stage 15000, (0, 2**15000 - 1): 4516 decimal digits
+    code, out, err = run(capsys, "coords", index, "--base4")
+    assert (code, err) == (0, "") and max(map(len, out.split())) > 4300
+    x, y = out.split()
+    code, back, err = run(capsys, "locate", x, y)
+    assert (code, err) == (0, "")
+    assert run(capsys, "coords", back.strip()) == (0, out, "")  # a decimal n past the limit is read too
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit  # restored on return
+    with _AnyIntLength():
+        assert int(back) == int(index, 4)
+
+
+def test_locate_answer_past_the_int_text_limit_has_its_coords(capsys):
+    code, out, err = run(capsys, "locate", str(10**3000), "5")
+    assert (code, err) == (0, "") and len(out) > 4301
+    with _AnyIntLength():
+        digits = "".join(map(str, to_base(int(out), 4)))
+    assert run(capsys, "coords", digits, "--base4") == (0, f"{10**3000} 5\n", "")
 
 
 def test_usage_errors_exit_2(capsys):
@@ -163,6 +199,14 @@ def test_malformed_budget_fails_only_commands_that_build_a_stage(capsys, monkeyp
     code, out, err = run(capsys, "render", "2", "-o", "out.pbm")
     assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
     assert run(capsys, "dir", "5") == (0, "U 0\n", "")
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("render", "2", "-o", "out.pbm")])
+def test_malformed_budget_names_the_variable(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HILBERT_BUDGET", "abc")
+    assert run(capsys, *argv) == (2, "", "error: HILBERT_BUDGET must be an integer, got 'abc'\n")
+    assert not (tmp_path / "out.pbm").exists()
 
 
 @pytest.mark.parametrize("budget, stage, code", [("3", "4", 3), ("x", "2", 2)])

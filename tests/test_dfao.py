@@ -1,5 +1,8 @@
 """The letter automaton and the digit-string utilities."""
 
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +37,51 @@ def test_base_round_trip(n, k):
     assert digits == (0,) or digits[0] != 0
 
 
+def _divmod_digits(n, k):
+    """Digits of n by one divmod per digit, most significant first."""
+    digits = []
+    while True:
+        n, digit = divmod(n, k)
+        digits.append(digit)
+        if not n:
+            return tuple(reversed(digits))
+
+
+def _horner_value(digits, k):
+    value = 0
+    for digit in digits:
+        value = value * k + digit
+    return value
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 16])
+def test_base_round_trip_matches_divmod_and_horner(k):
+    """Byte-table bases (2, 4, 16) and divmod bases agree with the one-digit-at-a-time loops."""
+    rng = random.Random(k)
+    values = list(range(5000)) + [rng.getrandbits(rng.randrange(1, 3001)) for _ in range(400)]
+    for n in values:
+        digits = to_base(n, k)
+        assert digits == _divmod_digits(n, k), n
+        assert from_base(digits, k) == _horner_value(digits, k) == n
+        assert from_base([0, 0, *digits], k) == n  # leading zeros, and a list
+    assert from_base((), k) == 0
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 16])
+def test_digit_helpers_keep_their_messages(k):
+    cases = [
+        (lambda: to_base(-1, k), "cannot represent negative value -1"),
+        (lambda: to_base(5, 1), "base must be at least 2, got 1"),
+        (lambda: from_base((1, k, 0), k), f"digit {k} out of range for base {k}"),
+        (lambda: from_base((1, 256), k), f"digit 256 out of range for base {k}"),  # no byte value
+        (lambda: from_base((0, -1, k), k), f"digit -1 out of range for base {k}"),  # the first bad one
+        (lambda: from_base(iter((1, 0, 300)), k), f"digit 300 out of range for base {k}"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 def test_base_rejects_bad_input():
     with pytest.raises(ValueError):
         to_base(-1, 4)
@@ -41,6 +89,8 @@ def test_base_rejects_bad_input():
         to_base(5, 1)
     with pytest.raises(ValueError):
         from_base((4,), 4)
+    with pytest.raises(ValueError, match="^digit 11 out of range for base 2$"):
+        from_base((0, 11, 1), 2)  # not the text "0b1", which int() reads as 1 in base 2
     with pytest.raises(ValueError, match="digit -1 out of range for base 4"):
         eval_dfao_digits(hilbert_dfao(), (2, -1))
     for digits in ((4,), (1, 4), (4, 1, 0)):

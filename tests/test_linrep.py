@@ -163,6 +163,19 @@ def test_pairwise_eval_matches_per_digit_reference():
             assert list(map(list, rep._blocks[r][m])) == _reference_block(rep, r, m), (name, r, m)
 
 
+def test_eval_at_2000_digits_matches_per_digit_reference():
+    """Long indices, read by bytes (bases 2 and 4) or by divmod (3 and 17), leading zeros too."""
+    rng = random.Random(2000)
+    for name, rep in _equivalence_reps().items():
+        k = rep.base
+        digits = (rng.randrange(1, k),) + tuple(rng.randrange(k) for _ in range(1999))
+        for padded in (digits, (0,) * 9 + digits):
+            want = _reference_eval(rep, padded)
+            got = eval_linrep_digits(rep, padded)
+            assert got == want and list(map(type, got)) == list(map(type, want)), name
+        assert eval_linrep(rep, from_base(digits, k)) == _reference_eval(rep, digits), name
+
+
 def test_eval_builds_only_the_blocks_it_reads():
     rep = hilbert_linrep()
     assert rep.block_width == 4
