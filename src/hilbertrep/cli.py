@@ -67,7 +67,10 @@ def _parse_index(args: argparse.Namespace) -> int:
         if not text or set(text) - set("0123"):
             raise ValueError(f"{text!r} is not a base-4 digit string")
         return int(text, 4)
-    return int(args.n)
+    try:
+        return int(args.n)
+    except ValueError:
+        raise ValueError(f"{args.n!r} is not a decimal index") from None
 
 
 def _int_at_least(low: int):
@@ -263,6 +266,9 @@ def _main(argv: list[str] | None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
+    except MemoryError:  # its message is empty; name what ran out instead
+        print(f"error: out of memory while running {args.command}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:  # budget, parse and file errors, and anything unforeseen
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # one line, never a traceback
         return EXIT_BUDGET if isinstance(exc, GenerationBudgetError) else EXIT_USAGE

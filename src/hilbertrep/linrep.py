@@ -31,7 +31,7 @@ from itertools import chain
 
 from .dfao import Dfao, Record, _successor_moves, explore, from_base, require_base
 from .oracle import STEP
-from .ratmat import SpanBasis, identity, mat_mul, mat_vec, matrix, transpose, vec_mat, vector
+from .ratmat import SpanBasis, identity, mat_mul, mat_vec, matrix, transpose, vector
 from .textfmt import ParseError, parse_index, parse_int, read_text, require_all
 
 
@@ -417,23 +417,22 @@ def difference_rep(a: LinearRep, b: LinearRep) -> LinearRep:
     return LinearRep(base=a.base, v=v, gamma=gamma, w=w)
 
 
-def _row_closure(seeds, gammas, dim):
-    """Close a set of row vectors under right multiplication by the gammas.
+def _row_closure(seeds, columns, dim):
+    """Close a set of row vectors under right multiplication by the digit matrices.
 
-    Returns the span basis and, per digit, the matrix expressing each basis
-    row's image in terms of the basis.
+    ``columns[d]`` holds the columns of gamma(d).  Each seed, then each image
+    row . gamma(d) of a basis row in order, is admitted or expressed by one
+    elimination.  Returns the span basis, the coordinates of each seed and,
+    per digit, those of each basis row's image: gamma(d) on the basis.
     """
     basis = SpanBasis(dim)
-    for seed in seeds:
-        basis.add_if_new(seed)
-    i = 0
-    while i < len(basis.vectors):
-        row = basis.vectors[i]
-        for g in gammas:
-            basis.add_if_new(vec_mat(row, g))
-        i += 1
-    coeffs = [[basis.coordinates(vec_mat(row, g)) for row in basis.vectors] for g in gammas]
-    return basis, coeffs
+    seed_coords = [basis.express(seed) for seed in seeds]
+    images = [[] for _ in columns]
+    for row in basis.vectors:  # the loop reaches the rows that its own images admit
+        for image, cols in zip(images, columns):
+            image.append(basis.express(mat_vec(cols, row)))
+    pad = basis.padded
+    return basis, [pad(c) for c in seed_coords], [[pad(c) for c in image] for image in images]
 
 
 def minimize_rep(rep: LinearRep) -> LinearRep:
@@ -452,14 +451,13 @@ def minimize_rep(rep: LinearRep) -> LinearRep:
     v under the digit matrices, then (on the transposed representation)
     restrict to the span reached from w.  The result is reachable and
     observable, hence of minimal rank; a zero sequence reduces to rank 0.
+    The new v, w and digit matrices are the coordinates the two closures
+    take from their one elimination per vector.
     """
     v0 = mat_mul(rep.v, rep.gamma[0])
-    reach, g1 = _row_closure(v0, rep.gamma, rep.rank)
-    v1 = [reach.coordinates(row) for row in v0]
+    reach, v1, g1 = _row_closure(v0, [transpose(g) for g in rep.gamma], rep.rank)
     w1 = mat_vec(reach.vectors, rep.w)
-
-    observe, g2t = _row_closure([w1], [transpose(g) for g in g1], len(reach.vectors))
-    w2 = observe.coordinates(w1)
+    observe, (w2,), g2t = _row_closure([w1], g1, len(reach.vectors))
     v2 = mat_mul(v1, transpose(observe.vectors))
     gamma2 = [transpose(g) for g in g2t]
     return LinearRep(base=rep.base, v=v2, gamma=gamma2, w=w2)
@@ -523,17 +521,20 @@ def guess_linrep(prefix, k: int, depth: int) -> GuessedLinearRep:
     Kernel subsequences n -> a(k**e * n + i) with e <= depth are scanned
     in lexicographic (e, i) order; each one whose sample vector extends
     the span so far becomes a basis element.  The digit matrices then come
-    from expressing every basis element's digit-refinements (level
-    depth + 1) in that basis.  Entries of ``prefix`` may be numbers or
-    equal-length tuples.  Raises InsufficientDataError when the prefix is
-    shorter than k**(depth + 2) terms or the refinements escape the span.
+    from expressing every basis element's digit-refinements in that basis;
+    the scan kept the coordinates of those at levels <= depth, so only the
+    refinements at level depth + 1 are eliminated anew.  Entries of
+    ``prefix`` may be numbers or equal-length tuples.  Raises
+    InsufficientDataError when the prefix is shorter than k**(depth + 2)
+    terms or the refinements escape the span.
     """
     values = [tuple(entry) if isinstance(entry, (tuple, list)) else (entry,) for entry in prefix]
-    if not values:
+    dims = set(map(len, values))
+    if not dims:
         raise InsufficientDataError("empty prefix")
-    out_dim = len(values[0])
-    if any(len(entry) != out_dim for entry in values):
+    if len(dims) > 1:
         raise ValueError("prefix entries must all have the same dimension")
+    (out_dim,) = dims
     if len(values) < k ** (depth + 2):
         raise InsufficientDataError(
             f"need at least {k ** (depth + 2)} terms to overdetermine relations, got {len(values)}"
@@ -541,27 +542,30 @@ def guess_linrep(prefix, k: int, depth: int) -> GuessedLinearRep:
     samples = len(values) // k ** (depth + 1)
 
     def sample_vector(e: int, i: int) -> tuple:
-        stride = k ** e
-        return tuple(values[stride * n + i][c] for n in range(samples) for c in range(out_dim))
+        stride = k ** e  # values[stride * n + i] for n < samples, coordinates of each value in turn
+        return tuple(chain.from_iterable(values[i:i + stride * samples:stride]))
 
     basis = SpanBasis(samples * out_dim)
     spanning: list[tuple[int, int]] = []
+    scanned = {}  # (e, i) -> coordinates of the element when it was scanned
     for e in range(depth + 1):
         for i in range(k ** e):
-            if basis.add_if_new(sample_vector(e, i)):
+            scanned[e, i] = basis.express(sample_vector(e, i))
+            if len(basis.vectors) > len(spanning):
                 spanning.append((e, i))
 
     gamma = []
     for d in range(k):
         rows = []
         for e, i in spanning:
-            coords = basis.coordinates(sample_vector(e + 1, d * k ** e + i))
+            refinement = (e + 1, d * k ** e + i)
+            coords = scanned[refinement] if e < depth else basis.coordinates(sample_vector(*refinement))
             if coords is None:
                 raise InsufficientDataError(
                     f"refinement of kernel element ({e}, {i}) on digit {d} "
                     f"escapes the spanned space; increase depth or data"
                 )
-            rows.append(coords)
+            rows.append(basis.padded(coords))
         gamma.append(transpose(rows))
     v = [[values[i][c] for _, i in spanning] for c in range(out_dim)]
     w = tuple(int(i == 0) for i in range(len(spanning)))

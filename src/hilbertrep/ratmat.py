@@ -5,7 +5,8 @@ when a value is genuinely non-integral; keeping integral values as ints
 makes the common all-integer case fast while every operation stays exact.
 ``SpanBasis`` eliminates over the integers alone: an entering vector is
 scaled to integers by the lcm of its denominators, and Fractions are
-formed only for the coordinates it returns.  Empty shapes pass through:
+formed only for the coordinates it returns; ``express`` admits a vector
+or returns its coordinates from one elimination.  Empty shapes pass through:
 ``transpose(())`` is ``()``, and ``mat_mul(a, ())`` is ``len(a)`` empty
 rows, so rank-0 representations need no special case.  Dimensions in this
 package never exceed a few dozen, so nothing here is tuned beyond that
@@ -51,11 +52,6 @@ def dot(u, v):
 def mat_vec(a, v) -> tuple:
     """Matrix times column vector."""
     return tuple([dot(row, v) for row in a])
-
-
-def vec_mat(v, a) -> tuple:
-    """Row vector times matrix."""
-    return tuple([dot(v, col) for col in zip(*a)])
 
 
 def mat_mul(a, b) -> tuple[tuple, ...]:
@@ -109,16 +105,36 @@ class SpanBasis:
         residual, acc, scale = self._eliminate(vec)
         if any(residual):
             return None
-        return vector(Fraction(a, scale) for a in acc)
+        return _quotients(acc, scale)
 
-    def add_if_new(self, vec) -> bool:
-        """Admit ``vec`` as a basis vector if it extends the span."""
+    def express(self, vec) -> tuple:
+        """Coordinates of ``vec``, admitting it first as a basis vector if it extends the span.
+
+        One elimination serves both: an admitted vector's coordinates are the
+        unit vector of its own position.  A result has one entry per vector
+        admitted so far, itself included; ``padded`` extends it as the basis grows.
+        """
         residual, acc, scale = self._eliminate(vec)
         pivot = next((i for i, r in enumerate(residual) if r != 0), None)
         if pivot is None:
-            return False
+            return _quotients(acc, scale)
         comb = [-a for a in acc] + [scale]
         g = gcd(*residual, *comb)
         self.vectors.append(vector(vec))
         self._rows.append((pivot, [r // g for r in residual], [c // g for c in comb]))
-        return True
+        return (0,) * len(acc) + (1,)
+
+    def add_if_new(self, vec) -> bool:
+        """Admit ``vec`` as a basis vector if it extends the span."""
+        size = len(self.vectors)
+        self.express(vec)
+        return len(self.vectors) > size
+
+    def padded(self, coords) -> tuple:
+        """Coordinates taken while the basis was smaller, with zeros for the vectors admitted since."""
+        return coords + (0,) * (len(self.vectors) - len(coords))
+
+
+def _quotients(acc, scale) -> tuple:
+    """Each a / scale, an int where scale divides a and a Fraction elsewhere."""
+    return tuple([a // scale if a % scale == 0 else Fraction(a, scale) for a in acc])

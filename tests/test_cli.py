@@ -26,6 +26,7 @@ def test_dir_outputs_letter_and_coding(capsys):
     assert run(capsys, "dir", "3") == (0, "R 1\n", "")
     assert run(capsys, "dir", "11") == (0, "L 3\n", "")
     assert run(capsys, "dir", "23", "--base4")[1] == "L 3\n"  # 23 base 4 is 11
+    assert run(capsys, "dir", " +1_1 ") == (0, "L 3\n", "")  # whatever int() reads
 
 
 def test_coords_methods_agree(capsys):
@@ -341,7 +342,7 @@ def test_unexpected_exception_exits_2_with_one_line(capsys, monkeypatch):
         raise MemoryError()
 
     monkeypatch.setitem(cli._COMMANDS, "dir", out_of_memory)
-    assert run(capsys, "dir", "3") == (2, "", "error: MemoryError\n")
+    assert run(capsys, "dir", "3") == (2, "", "error: out of memory while running dir\n")
 
 
 _NUMBER = st.one_of(

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from hilbertrep.bitmap import Bitmap
+from hilbertrep.cli import _COMMANDS, build_parser
 from hilbertrep.dfao import Dfao, dfao_from_text, dfao_to_text
 from hilbertrep.linrep import (
     InsufficientDataError,
@@ -31,6 +32,12 @@ SYNC = "sync bases=4,2,2 states=1 initial=0 accepting=0\n"
 
 def _rank_one(base: int, out: int = 1) -> LinearRep:
     return LinearRep(base=base, v=ONE * out, gamma=(ONE,) * base, w=(1,))
+
+
+def _command(*argv):
+    """Run one command line's command past the error handling of ``main``."""
+    args = build_parser().parse_args(argv)
+    return _COMMANDS[args.command](args)
 
 
 def _one_state_sync(accepting, transitions) -> SyncAutomaton:
@@ -100,6 +107,10 @@ CASES = {
                                ParseError, "line 1: duplicate header field 'base'"),
     "unrecognized line": (lambda: dfao_from_text(DFAO + "0 1 0\n"),
                           ParseError, "line 2: unrecognized line '0 1 0'"),
+    "dir index": (lambda: _command("dir", "abc"), ValueError, "'abc' is not a decimal index"),
+    "coords index, oracle": (lambda: _command("coords", "1e5", "--method", "oracle"),
+                             ValueError, "'1e5' is not a decimal index"),
+    "coords index, sync": (lambda: _command("coords", "1e5"), ValueError, "'1e5' is not a decimal index"),
 }
 
 

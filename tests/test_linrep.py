@@ -530,7 +530,12 @@ def _full_length(basis, vec):
 
 
 def test_span_basis_matches_fraction_reference():
-    """Same verdicts, vectors and coordinates, values and element types, as Fraction elimination."""
+    """Same verdicts, vectors and coordinates, values and element types, as Fraction elimination.
+
+    A twin basis takes each admitted vector through ``express`` instead: it
+    admits the same vectors, and each result, zero-padded, equals the
+    reference's coordinates then and at the end.
+    """
     rng = random.Random(8)
 
     def scalar():
@@ -542,8 +547,9 @@ def test_span_basis_matches_fraction_reference():
 
     for _ in range(300):
         dim = rng.randint(0, 6)
-        basis, reference = SpanBasis(dim), _FractionSpanBasis(dim)
+        basis, reference, twin = SpanBasis(dim), _FractionSpanBasis(dim), SpanBasis(dim)
         seen = [tuple(scalar() for _ in range(dim))]
+        expressed = []
         for _ in range(rng.randint(1, 12)):
             kind = rng.randrange(4)
             if kind == 0:  # fresh, usually outside the span
@@ -557,14 +563,40 @@ def test_span_basis_matches_fraction_reference():
                 vec = vector(sum(c * u[i] for c, u in terms) for i in range(dim))
             seen.append(vec)
             if rng.random() < 0.6:
+                coords = twin.express(vec)
                 assert basis.add_if_new(vec) == reference.add_if_new(vec), vec
+                assert _typed(coords) == _typed(reference.coordinates(vec)), vec
+                expressed.append((vec, coords))
             else:
                 assert _typed(basis.coordinates(vec)) == _typed(reference.coordinates(vec)), vec
                 assert _full_length(basis, vec), vec
             assert [_typed(v) for v in basis.vectors] == [_typed(v) for v in reference.vectors]
+            assert [_typed(v) for v in twin.vectors] == [_typed(v) for v in reference.vectors]
         for vec in seen:
             assert _typed(basis.coordinates(vec)) == _typed(reference.coordinates(vec)), vec
             assert _full_length(basis, vec), vec
+        for vec, coords in expressed:
+            assert _typed(twin.padded(coords)) == _typed(reference.coordinates(vec)), vec
+
+
+def test_each_vector_is_eliminated_once(monkeypatch):
+    """Closures and guesses read coordinates from the one elimination that admits or expresses a vector."""
+    calls = []
+    eliminate = SpanBasis._eliminate
+
+    def counted(self, vec):
+        calls.append(vec)
+        return eliminate(self, vec)
+
+    monkeypatch.setattr(SpanBasis, "_eliminate", counted)
+    rep = hilbert_linrep()
+    minimized = minimize_rep(difference_rep(transduce_rep(rep, increment_transducer(4)), rep))
+    # the 2 rows of v and 4 images of each of the 7 rows they reach; w and 4 images of each of 3 rows
+    assert (minimized.rank, len(calls)) == (3, 2 + 4 * 7 + 1 + 4 * 3)
+    calls.clear()
+    guessed = guess_linrep([p.x for p in POINTS], 4, 2)
+    # the 1 + 4 + 16 scanned kernel elements; the 4 refinements of the one spanning element at depth 2
+    assert (guessed.spanning, len(calls)) == (((0, 0), (1, 0), (1, 1), (1, 2), (2, 0)), 21 + 4)
 
 
 def test_empty_shapes_pass_through_transpose_and_mat_mul():
