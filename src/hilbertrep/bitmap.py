@@ -32,7 +32,7 @@ over the packed binary variant so golden files diff cleanly.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, islice
+from itertools import chain, islice, product
 from typing import TYPE_CHECKING, Iterator
 
 from .dfao import Dfao, Record, _successor_moves, determinize, explore
@@ -74,14 +74,12 @@ def _check_stage(g: int) -> None:
 def _tracks(machine: SyncAutomaton):
     """The lattice, right-connector and up-connector automata over point bit pairs."""
     bn, bx, by = machine.bases
-    # arcs[state][x digit * by + y digit]: (index digit, target) of every arc; the connectors pair the digits
-    arcs = [{} for _ in range(machine.state_count)]
-    for (q, (i, j, k)), target in machine.transitions.items():
-        arcs[q].setdefault(j * by + k, []).append((i, target))
+    # groups[state][point symbol]: (target, the index digits of its arcs); the connectors pair the digits
+    groups = machine._locate.targets
     final = machine.accepting.__contains__
 
     def on_curve(q, s):
-        return [target for _, target in arcs[q].get(s, ())]
+        return [target for target, _ in groups[q].get(s, ())]
 
     lattice = determinize({machine.initial}, on_curve, final, bx * by)
     n_moves = _successor_moves(bn)
@@ -93,15 +91,15 @@ def _tracks(machine: SyncAutomaton):
         def step(state, s):
             q, q2, c, m, sign = state
             point = divmod(s, by)
-            here = arcs[q].get(s, ())
+            here = groups[q].get(s, ())
             out = []
             for d2 in range((bx, by)[axis]):  # the neighbour's digit on the axis
                 c2 = c_moves.get((c, point[axis], d2))
                 if c2 is None:
                     continue
                 other = d2 * by + point[1] if axis == 0 else point[0] * by + d2
-                for i, t in here:
-                    for i2, t2 in arcs[q2].get(other, ()):
+                for (t, digits), (t2, digits2) in product(here, groups[q2].get(other, ())):
+                    for i, i2 in product(digits, digits2):
                         m2 = n_moves.get((m, i, i2) if sign > 0 else (m, i2, i))
                         if m2 is not None:
                             out.append((t, t2, c2, m2, sign))

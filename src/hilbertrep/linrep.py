@@ -28,6 +28,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
+from operator import add
 
 from .dfao import Dfao, Record, _successor_moves, explore, from_base, require_base
 from .oracle import STEP
@@ -375,19 +376,10 @@ def transduce_rep(rep: LinearRep, trans: Transducer) -> LinearRep:
     check_functional(trans)
     s = rep.rank
     size = s * trans.state_count
-    mats = []
-    for a in range(rep.base):
-        rows = [[0] * size for _ in range(size)]
-        for src, digit, out, dst in trans.moves:
-            if digit != a:
-                continue
-            block = _word_matrix(rep, out)
-            for p in range(s):
-                row = rows[src * s + p]
-                brow = block[p]
-                for q in range(s):
-                    row[dst * s + q] += brow[q]
-        mats.append(rows)
+    mats = [[[0] * size for _ in range(size)] for _ in range(rep.base)]
+    for src, digit, out, dst in trans.moves:
+        for row, brow in zip(mats[digit][src * s:(src + 1) * s], _word_matrix(rep, out)):
+            row[dst * s:(dst + 1) * s] = map(add, row[dst * s:(dst + 1) * s], brow)
     v = []
     for vrow in rep.v:
         row = [0] * size
@@ -528,6 +520,9 @@ def guess_linrep(prefix, k: int, depth: int) -> GuessedLinearRep:
     InsufficientDataError when the prefix is shorter than k**(depth + 2)
     terms or the refinements escape the span.
     """
+    require_base(k)
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     values = [tuple(entry) if isinstance(entry, (tuple, list)) else (entry,) for entry in prefix]
     dims = set(map(len, values))
     if not dims:

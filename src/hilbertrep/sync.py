@@ -52,9 +52,9 @@ class _Lookup(NamedTuple):
     """One lookup direction of a machine.
 
     ``targets[q]`` maps each symbol that state q reads (its fixed digits
-    encoded) to its arcs on it grouped by target: (target, number of arcs
-    into it, output of the first), targets in the order they first occur
-    among the sorted transitions.  When the parity check passed,
+    encoded) to its arcs on it grouped by target: (target, the output of
+    every arc into it), targets and outputs in the order they occur among
+    the sorted transitions.  When the parity check passed,
     ``live[r & 1][q]`` is the number (0 or 1) of accepted completions of r
     further steps from q, and ``table[r & 1][q][s]`` is the (output,
     target) of the one arc on symbol s into a state with ``live[r & 1]``
@@ -71,7 +71,7 @@ def _live_step(targets, symbols: int, live):
     """Completion counts one step further back, or None unless each is 0 or 1 for every symbol."""
     result = []
     for per_state in targets:
-        sums = {sum(times * live[target] for target, times, _ in groups) for groups in per_state.values()}
+        sums = {sum(len(outs) * live[target] for target, outs in groups) for groups in per_state.values()}
         if len(per_state) < symbols:
             sums.add(0)  # an unread symbol has no completion
         if len(sums) != 1 or not sums <= {0, 1}:
@@ -95,7 +95,7 @@ def _lookup(targets, symbols: int, accepting: frozenset[int]) -> _Lookup:
         return _Lookup(targets, None, None)
     live = (live0, live1)
     table = tuple(
-        tuple(tuple(next(((out, target) for target, _, out in per_state[s] if after[target]), None)
+        tuple(tuple(next(((outs[0], target) for target, outs in per_state[s] if after[target]), None)
                     for s in range(symbols))
               if len(per_state) == symbols else None
               for per_state in targets)
@@ -135,9 +135,10 @@ class SyncAutomaton(Record):
         grouped = ([{} for _ in range(state_count)], [{} for _ in range(state_count)])
         for (q, (i, j, k)), target in sorted(transitions.items()):
             for reads, s, out in zip(grouped, (i, j * by + k), ((j, k), i)):
-                reads[q].setdefault(s, {}).setdefault(target, [target, 0, out])[1] += 1
+                reads[q].setdefault(s, {}).setdefault(target, []).append(out)
         for name, reads, symbols in zip(("_coords", "_locate"), grouped, (bn, bx * by)):
-            targets = tuple({s: tuple(map(tuple, g.values())) for s, g in row.items()} for row in reads)
+            targets = tuple({s: tuple((t, tuple(outs)) for t, outs in g.items()) for s, g in row.items()}
+                            for row in reads)
             self.__dict__[name] = _lookup(targets, symbols, accepting)
 
 
@@ -234,11 +235,11 @@ def _forward(machine: SyncAutomaton, lookup: _Lookup, columns, extend, start) ->
     def step(reached: dict, s: int, left: int) -> dict:
         after: dict = {}
         for state, (count, value) in reached.items():
-            for target, times, out in lookup.targets[state].get(s, ()):
+            for target, outs in lookup.targets[state].get(s, ()):
                 if target in after:
-                    after[target][0] += count * times
+                    after[target][0] += count * len(outs)
                 else:
-                    after[target] = [count * times, extend(value, s, out, left)]
+                    after[target] = [count * len(outs), extend(value, s, outs[0], left)]
         return after
 
     level = [{machine.initial: [1, start]}]
@@ -483,8 +484,8 @@ def sync_from_text(text: str) -> SyncAutomaton:
         transitions[(q, triple)] = target
     named = {initial, *accepting, *(q for q, _ in transitions), *transitions.values()}
     require_all(range(count), named, header_line, "states")
-    # the lookup tables hold a column per index digit and per coordinate digit pair:
-    # each must be read by an arc, so the bases cannot size them beyond what the file lists
+    # each index digit and coordinate digit pair must be read by an arc, so the bases cannot outgrow
+    # the file: bitmap_dfao explores all bx * by pair symbols from every state it reaches
     triples = {triple for _, triple in transitions}
     require_all(range(bases[0]), {i for i, _, _ in triples}, header_line, "index digits")
     require_all(product(range(bases[1]), range(bases[2])), {(j, k) for _, j, k in triples},

@@ -1,8 +1,10 @@
-"""No module of the package imports a name it never uses, and a command loads no more than it runs.
+"""No module imports a name it never uses, no private helper goes unused, and a command loads no more than it runs.
 
 No linter is assumed: each module is parsed with ``ast``, and an imported
 name counts as used when it appears as a name anywhere in the module.
 Imports kept only for the traced benchmark run carry ``# noqa: F401``.
+A module-level ``_``-prefixed function or class counts as used when any
+module of the package names it.
 """
 
 import ast
@@ -46,6 +48,30 @@ def test_an_unused_import_is_caught():
     assert unused_imports(source) == ["line 2: matrix"]
     assert unused_imports("import os.path\nos.sep\n") == []
     assert unused_imports("import os  # noqa: F401\n") == []
+
+
+def unreferenced_helpers(sources) -> list[str]:
+    """The module-level ``_``-prefixed functions and classes that no source names, as a name or an attribute."""
+    helpers, used = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        helpers += [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")]
+        used.update(node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+    return [name for name in helpers if name not in used]
+
+
+def test_no_private_helper_is_dead():
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")]
+    assert unreferenced_helpers(sources) == []
+
+
+def test_a_dead_helper_is_caught():
+    defining = ("def _used():\n    pass\ndef _dead():\n    pass\n"
+                "class _Gone:\n    pass\ndef __getattr__(name):\n    pass\n")
+    sources = [defining, "from . import a\na._used()\n"]
+    assert unreferenced_helpers(sources) == ["_dead", "_Gone"]
 
 
 def package_imports(name: str) -> set[str]:

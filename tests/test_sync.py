@@ -314,8 +314,8 @@ def test_parallel_arcs_into_one_state_are_counted_by_multiplicity(k):
     machine = _search_only(SyncAutomaton(bases=(4, 2, 2), state_count=2, initial=0,
                                          accepting=frozenset({0}), transitions=transitions))
     for s in range(4):
-        assert machine._locate.targets[0][s] == ((0, k, 0), (1, 4 - k, k))
-        assert machine._coords.targets[0][s] == ((int(s >= k), 4, (0, 0)),)
+        assert machine._locate.targets[0][s] == ((0, tuple(range(k))), (1, tuple(range(k, 4))))
+        assert machine._coords.targets[0][s] == ((int(s >= k), ((0, 0), (0, 1), (1, 0), (1, 1))),)
     for x, y, bits in ((0, 0, 1), (5, 3, 3), (2**12 - 1, 0, 12)):
         if k == 1:
             assert sync_locate(machine, x, y) == 0
@@ -364,9 +364,13 @@ def test_a_state_missing_a_symbol_has_no_completion_on_it():
     m = hilbert_sync()
     # state 10 reads only the zero triple and accepts nothing, so it is dead; state 0 can enter it
     dead = _with_state_ten(m.accepting, {(0, (1, 0, 0)): 10, (10, (0, 0, 0)): 10})
-    for lookup in (dead._coords, dead._locate):
-        assert sum(times for per_state in lookup.targets for groups in per_state.values()
-                   for _, times, _ in groups) == 46
+    arcs = dead.transitions.items()
+    for lookup, arc in ((dead._coords, lambda q, i, j, k, t: (q, i, (j, k), t)),
+                        (dead._locate, lambda q, i, j, k, t: (q, j * 2 + k, i, t))):
+        # the groups hold each of the 46 arcs once, with its output
+        held = [(q, s, out, target) for q, per_state in enumerate(lookup.targets)
+                for s, groups in per_state.items() for target, outs in groups for out in outs]
+        assert len(held) == 46 and sorted(held) == sorted(arc(q, *triple, t) for (q, triple), t in arcs)
         assert list(lookup.targets[10]) == [0]
         assert lookup.table[0][10] is None and lookup.table[1][10] is None
     assert lookup_paths(dead) == {"coords": "table", "locate": "table"}
