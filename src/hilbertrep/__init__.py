@@ -20,7 +20,6 @@ _EXPORTS = {
     "bitmap": (
         "Bitmap",
         "bitmap_dfao",
-        "count_lit",
         "render_from_walk",
         "render_generation",
         "render_pbm",

@@ -294,10 +294,6 @@ def render_from_walk(g: int) -> Bitmap:
     return _draw(g, walk(generate_generation(g)))
 
 
-def count_lit(bitmap: Bitmap) -> int:
-    return sum(sum(row) for row in bitmap.bits)
-
-
 def write_pbm(bitmap: Bitmap) -> bytes:
     """Plain PBM bytes: rows written top-down, '1' for a lit pixel."""
     lines = [f"P1\n{bitmap.width} {bitmap.height}\n"]

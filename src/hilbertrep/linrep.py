@@ -33,7 +33,6 @@ from operator import add
 from .dfao import Dfao, Record, _successor_moves, explore, from_base, require_base
 from .oracle import STEP
 from .ratmat import SpanBasis, identity, mat_mul, mat_vec, matrix, transpose, vector
-from .textfmt import ParseError, parse_index, parse_int, read_text, require_all
 
 
 class NonFunctionalTransducerError(ValueError):
@@ -572,6 +571,7 @@ def parse_scalar(token: str, lineno: int):
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
+        from .textfmt import ParseError
         raise ParseError(lineno, f"expected integer or rational, got {token!r}") from None
     return int(value) if value.denominator == 1 else value
 
@@ -598,6 +598,8 @@ def linrep_to_text(rep: LinearRep) -> str:
 
 def linrep_from_text(text: str) -> LinearRep:
     """Parse the text form; raises ParseError with the offending line number."""
+    from .textfmt import ParseError, parse_index, parse_int, read_text, require_all
+
     header_line, fields, body = read_text(text, "linrep", ("base", "out", "rank"))
     base = parse_int(fields["base"], header_line, "base")
     out_dim = parse_int(fields["out"], header_line, "output dimension")

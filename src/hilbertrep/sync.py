@@ -35,7 +35,6 @@ from typing import Mapping, NamedTuple
 
 from .dfao import Record, from_base, require_base, to_base
 from .oracle import Point
-from .textfmt import ParseError, parse_arc, parse_index, parse_int, read_text, require_all
 
 Triple = tuple[int, int, int]
 
@@ -460,6 +459,8 @@ def sync_to_text(machine: SyncAutomaton) -> str:
 
 def sync_from_text(text: str) -> SyncAutomaton:
     """Parse the text form; raises ParseError with the offending line number."""
+    from .textfmt import ParseError, parse_arc, parse_index, parse_int, read_text, require_all
+
     header_line, fields, body = read_text(text, "sync", ("bases", "states", "initial", "accepting"))
     bases = tuple(parse_int(tok, header_line, "base") for tok in fields["bases"].split(","))
     if len(bases) != 3:

@@ -1,15 +1,17 @@
-"""No module imports a name it never uses, no private helper goes unused, and a command loads no more than it runs.
+"""No module imports a name it never uses, no private helper or export goes unused, and a command loads no more than it runs.
 
 No linter is assumed: each module is parsed with ``ast``, and an imported
 name counts as used when it appears as a name anywhere in the module.
 Imports kept only for the traced benchmark run carry ``# noqa: F401``.
 A module-level ``_``-prefixed function or class counts as used when any
-module of the package names it.
+module of the package names it; an exported name, when a module other
+than ``__init__.py`` names it or README mentions it.
 """
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +19,10 @@ from pathlib import Path
 import pytest
 
 import hilbertrep
+from hilbertrep.sync import hilbert_sync, sync_to_text
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hilbertrep"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hilbertrep"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -72,6 +76,34 @@ def test_a_dead_helper_is_caught():
                 "class _Gone:\n    pass\ndef __getattr__(name):\n    pass\n")
     sources = [defining, "from . import a\na._used()\n"]
     assert unreferenced_helpers(sources) == ["_dead", "_Gone"]
+
+
+def unused_exports(exports, sources, readme: str) -> list[str]:
+    """The exports that no source names, as a name, an attribute or a string constant, and ``readme`` never mentions.
+
+    String constants count because ``cli`` resolves its machines and its hooked suites by name.
+    """
+    used = set(re.findall(r"\w+", readme))
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    return [name for name in exports if name not in used]
+
+
+def test_every_export_is_used_or_documented():
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert unused_exports(hilbertrep.__all__, sources, (ROOT / "README.md").read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_export_is_caught():
+    sources = ["from .a import imported, called\ncalled()\n", "_BY_NAME = ('named',)\nmodule.attribute\n"]
+    exports = ["imported", "called", "named", "attribute", "documented", "dead"]
+    assert unused_exports(exports, sources, "`documented(n)` is API.") == ["imported", "dead"]
 
 
 def package_imports(name: str) -> set[str]:
@@ -140,6 +172,20 @@ def test_sync_commands_load_neither_linrep_nor_verify(argv):
     assert not loaded_modules(*argv) & {"hilbertrep.linrep", "hilbertrep.ratmat", "hilbertrep.verify"}
 
 
+@pytest.mark.parametrize("argv", [("locate", "3", "4"), ("coords", "5"), ("coords", "5", "--method", "linrep"),
+                                  ("verify",), ("export", "sync"), ("export", "linrep"), ("bench", "--queries", "1")],
+                         ids=" ".join)
+def test_commands_that_read_no_file_load_no_text_format(argv):
+    assert "hilbertrep.textfmt" not in loaded_modules(*argv)
+
+
+def test_reading_a_machine_file_loads_the_text_formats(tmp_path):
+    exported = tmp_path / "hilbert.sync"
+    exported.write_text(sync_to_text(hilbert_sync()), encoding="ascii")
+    assert "hilbertrep.textfmt" in loaded_modules("import", "sync", str(ROOT / "tests" / "data" / "fault_table.sync"))
+    assert "hilbertrep.textfmt" in loaded_modules("verify", "--sync-file", str(exported))
+
+
 @pytest.mark.parametrize("argv", [("render", "1", "-o", "stage.pbm"), ("verify",), ("locate", "3", "4"),
                                   ("coords", "5", "--method", "linrep"), ("export", "dfao")], ids=" ".join)
 def test_commands_load_neither_dataclasses_nor_inspect(argv, tmp_path):
@@ -148,9 +194,9 @@ def test_commands_load_neither_dataclasses_nor_inspect(argv, tmp_path):
     assert not loaded_modules(*argv) & {"dataclasses", "inspect"}
 
 
-# the names the package exported when it imported every module eagerly
+# the names the package exports, pinned so that none is added or lost unnoticed
 EXPORTS = set("""
-    Bitmap bitmap_dfao count_lit render_from_walk render_generation render_pbm write_pbm
+    Bitmap bitmap_dfao render_from_walk render_generation render_pbm write_pbm
     Dfao coords_by_letters dfao_equal dfao_from_text dfao_to_text dfao_walk eval_dfao
     eval_dfao_digits from_base hilbert_dfao to_base
     GuessedLinearRep InsufficientDataError LinearRep NonFunctionalTransducerError

@@ -28,6 +28,8 @@ ONE = ((1,),)  # the 1 x 1 identity
 DFAO = "dfao base=2 states=1 initial=0\n"
 LINREP = "linrep base=2 out=1 rank=1\n"
 SYNC = "sync bases=4,2,2 states=1 initial=0 accepting=0\n"
+# 10**11 empty v rows, which no line lists, in a file of five lines
+RANK_0 = "linrep base=2 out=100000000000 rank=0\nv\ngamma 0\ngamma 1\nw\n"
 
 
 def _rank_one(base: int, out: int = 1) -> LinearRep:
@@ -97,6 +99,8 @@ CASES = {
                      ParseError, "line 3: expected 1 values in section 'v', got 2"),
     "linrep rows": (lambda: linrep_from_text(LINREP + "v\n1\n2\n"),
                     ParseError, "line 4: too many rows in section 'v'"),
+    "linrep rank-0 rows": (lambda: linrep_from_text(RANK_0),
+                           ParseError, "line 1: rank-0 output dimension 100000000000 exceeds the file's 5 lines"),
     "hc_prefix negative": (lambda: hc_prefix(-1), ValueError, "prefix length must be non-negative, got -1"),
     "sync accepting state": (lambda: _one_state_sync({1}, {}), ValueError, "accepting state out of range"),
     "sync transition state": (lambda: _one_state_sync({0}, {(0, (0, 0, 0)): 1}),
