@@ -16,7 +16,9 @@ pass instead of one lookup per index: ``dfao_walk`` for letters,
 point, for any synchronized machine.  A walk expands all indices (or
 points) of a digit count together, one digit per level, so each shared
 digit prefix is read once; it also counts the accepted paths of each, which
-finds the first undefined and the first ambiguous index.
+finds the first undefined and the first ambiguous index.  The sync suite
+then reads its coordinate pairs in one pass for the step, repeat and round
+trip checks.
 """
 
 from __future__ import annotations
@@ -53,9 +55,8 @@ from .sync import (
     sync_walk,
 )
 
-# The suites no longer look letters, values or coordinates up one index at
-# a time, but the traced benchmark run (perfbench/tracing.py) installs
-# counting shims under these names.
+# The suites do not call these; perfbench/tracing.py installs counting shims
+# under these names.
 from .dfao import eval_dfao  # noqa: F401
 from .linrep import eval_linrep  # noqa: F401
 from .sync import sync_coords  # noqa: F401
@@ -93,34 +94,9 @@ def _first_difference(values, expected) -> tuple[int] | None:
     return next(((n,) for n, (value, want) in enumerate(zip(values, expected)) if value != want), None)
 
 
-def _grid_witnesses(pairs, side: int):
-    """The first repeat, as (earlier index, index), and the first unvisited point of the grid."""
-    seen: dict[tuple[int, int], int] = {}
-    collision: tuple[int, ...] | None = None
-    for n, pair in enumerate(pairs):
-        if pair is None:
-            continue
-        if pair in seen and collision is None:
-            collision = (seen[pair], n)
-        seen.setdefault(pair, n)
-    uncovered = next(((x, y) for x in range(side) for y in range(side) if (x, y) not in seen), None)
-    return collision, uncovered
-
-
-def _round_trip_witness(machine: SyncAutomaton, t: int, pairs):
-    """The first n whose pair ``sync_locate`` does not take back to n."""
-    side = 2 ** max(t, 1)  # n = 0 has the one digit 0, so pairs have max(t, 1) bits
-    grid, height = _indices_within(machine, side, side)
-
-    def back(x: int, y: int) -> int | None:
-        if x < side and y < side:
-            return grid[x * height + y]
-        try:  # a pair outside the walked grid is located on its own
-            return sync_locate(machine, x, y)
-        except (NoAcceptingPathError, MultipleAcceptingPathsError):
-            return None
-
-    return next(((n,) for n, pair in enumerate(pairs) if pair is not None and back(*pair) != n), None)
+def _require_bound(bound: int) -> None:
+    if bound < 0:
+        raise ValueError(f"bound must be at least 0, got {bound}")
 
 
 def verify_identities(max_gen: int, *, machine: Dfao | None = None) -> list[VerifyReport]:
@@ -135,6 +111,7 @@ def verify_identities(max_gen: int, *, machine: Dfao | None = None) -> list[Veri
     of them, are those of stage max_gen + 1, so that stage must be within
     the stage budget (see ``require_stage``).
     """
+    _require_bound(max_gen)
     require_stage(max_gen + 1)
     m = hilbert_dfao() if machine is None else machine
     letters = _letters_below(m, 4 ** (max_gen + 1) - 1)
@@ -179,10 +156,15 @@ def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None) -> list[V
     the origin triple is accepted, and leading-zero padding is inert.
 
     Pairs and path counts come from the walk behind ``sync_walk`` at the
-    least digit count that reaches 4**t, and the round trip reads the walk
-    behind ``sync_locate_walk`` over the 2**max(t, 1) square; only a pair
-    outside that square is located on its own.
+    least digit count that reaches 4**t, and the index of every point of
+    the 2**max(t, 1) square from the walk behind ``sync_locate_walk``.  One
+    pass over the pairs then finds the first failing step per direction,
+    the first repeated point and the first failing round trip, marking
+    each point it visits; the grid is covered if every point of the 2**t
+    square is marked.  A pair outside the locate grid is located on its
+    own, and only until a round trip has failed.
     """
+    _require_bound(t)
     m = hilbert_sync() if machine is None else machine
     points = walk(generate_generation(t))  # budget check before 4**t
     count = 4 ** t
@@ -195,41 +177,48 @@ def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None) -> list[V
     del points  # not read again: freed before the walks below
 
     letters = _letters_below(hilbert_dfao(), count)
-    step_witness: dict[Direction, tuple[int, ...] | None] = {d: None for d in Direction}
-    for n in range(count - 1):
-        a, b = pairs[n], pairs[n + 1]
-        if a is None or b is None:
+    side = 2 ** max(t, 1)  # n = 0 has the one digit 0, so pairs have max(t, 1) bits
+    grid, height = _indices_within(m, side, side)
+    visited = bytearray(len(grid))  # the grid points some index reaches
+    outside: set[tuple[int, int]] = set()  # the pairs beyond the grid that some index reaches
+    steps = dict(step_up=Direction.U, step_right=Direction.R, step_down=Direction.D, step_left=Direction.L)
+    witness = dict.fromkeys(steps)
+    collision = round_trip = previous = None
+    for n, pair in enumerate(pairs):
+        if pair is None:
+            previous = None
             continue
-        delta = (b[0] - a[0], b[1] - a[1])
-        letter = letters[n]
-        if delta == STEP.get(letter):
-            continue  # the letter's own step: every direction's check holds
-        for direction in Direction:
-            matches = (letter == direction) == (delta == STEP[direction])
-            if not matches and step_witness[direction] is None:
-                step_witness[direction] = (n,)
+        x, y = pair
+        if previous is not None:
+            delta, letter = (x - previous[0], y - previous[1]), letters[n - 1]
+            if delta != STEP.get(letter):  # else the letter's own step: every direction's check holds
+                for name, direction in steps.items():
+                    if witness[name] is None and (letter == direction) != (delta == STEP[direction]):
+                        witness[name] = (n - 1,)
+        previous = pair
+        if x < side and y < side:
+            position = x * height + y
+            repeat, visited[position], back = visited[position], 1, grid[position]
+        else:
+            repeat = pair in outside
+            outside.add(pair)
+            try:  # a pair outside the walked grid is located on its own, until a round trip fails
+                back = n if round_trip else sync_locate(m, x, y)
+            except (NoAcceptingPathError, MultipleAcceptingPathsError):
+                back = None
+        if repeat and collision is None:
+            collision = (pairs.index(pair), n)  # the earlier index is that of the pair's first visit
+        if back != n and round_trip is None:
+            round_trip = (n,)
 
-    collision, uncovered = _grid_witnesses(pairs, 2 ** t)
-    round_trip = _round_trip_witness(m, t, pairs)
-
-    origin = None if accepts(m, 0, 0, 0) else (0, 0, 0)
-    padding = None if m.transitions.get((m.initial, (0, 0, 0))) == m.initial else (0, 0, 0)
-
-    reports = [
-        _report("coords_defined", t, undefined),
-        _report("coords_unique", t, ambiguous),
-        _report("oracle_agreement", t, agreement),
-        _report("step_up", t, step_witness[Direction.U]),
-        _report("step_right", t, step_witness[Direction.R]),
-        _report("step_down", t, step_witness[Direction.D]),
-        _report("step_left", t, step_witness[Direction.L]),
-        _report("grid_covered", t, uncovered),
-        _report("grid_unique", t, collision),
-        _report("round_trip", t, round_trip),
-        _report("origin_accepted", t, origin),
-        _report("zero_padding", t, padding),
-    ]
-    return sorted(reports, key=lambda r: r.name)
+    witness.update(
+        coords_defined=undefined, coords_unique=ambiguous, oracle_agreement=agreement,
+        grid_covered=next(((x, y) for x in range(2 ** t) for y in range(2 ** t)
+                           if not visited[x * height + y]), None),
+        grid_unique=collision, round_trip=round_trip,
+        origin_accepted=None if accepts(m, 0, 0, 0) else (0, 0, 0),
+        zero_padding=None if m.transitions.get((m.initial, (0, 0, 0))) == m.initial else (0, 0, 0))
+    return [_report(name, t, witness[name]) for name in sorted(witness)]
 
 
 def verify_cross(bound_exp: int) -> list[VerifyReport]:
@@ -242,6 +231,7 @@ def verify_cross(bound_exp: int) -> list[VerifyReport]:
     automaton recovered from the minimized step-difference representation
     must be isomorphic to the letter automaton.
     """
+    _require_bound(bound_exp)
     require_stage(bound_exp + 1)  # the stage hc_prefix reads, before 4**bound_exp
     count = 4 ** bound_exp
     word = hc_prefix(count)

@@ -22,6 +22,7 @@ from hilbertrep.linrep import (
 from hilbertrep.oracle import Direction, hc_prefix
 from hilbertrep.sync import SyncAutomaton, sync_from_text
 from hilbertrep.textfmt import ParseError, read_text
+from hilbertrep.verify import verify_cross, verify_identities, verify_sync_suite
 
 U = Direction.U
 ONE = ((1,),)  # the 1 x 1 identity
@@ -117,6 +118,9 @@ CASES = {
     "coords index, oracle": (lambda: _command("coords", "1e5", "--method", "oracle"),
                              ValueError, "'1e5' is not a decimal index"),
     "coords index, sync": (lambda: _command("coords", "1e5"), ValueError, "'1e5' is not a decimal index"),
+    "identities bound": (lambda: verify_identities(-1), ValueError, "bound must be at least 0, got -1"),
+    "sync suite bound": (lambda: verify_sync_suite(-1), ValueError, "bound must be at least 0, got -1"),
+    "cross bound": (lambda: verify_cross(-1), ValueError, "bound must be at least 0, got -1"),
 }
 
 

@@ -9,7 +9,7 @@ from test_sync import _single_faults, _squared
 from hilbertrep.cli import main
 from hilbertrep.dfao import Dfao, hilbert_dfao
 from hilbertrep.oracle import Direction, GenerationBudgetError
-from hilbertrep import sync
+from hilbertrep import sync, verify
 from hilbertrep.sync import (
     MultipleAcceptingPathsError,
     NoAcceptingPathError,
@@ -134,6 +134,51 @@ def test_first_failing_indices_match_per_index_lookups_on_single_faults():
     assert len(named) == 4  # each check both passes and fails on some fault
 
 
+CENSUS = Path(__file__).parent / "data" / "fault_census.out"
+
+
+def _fault_name(m, transitions, accepting) -> str:
+    """The one change from m: ``3 [1,0,1] -> 9``, ``3 [1,0,1] deleted`` or ``accepting ^ 4``."""
+    if accepting != m.accepting:
+        return f"accepting ^ {min(accepting ^ m.accepting)}"
+    key = next(k for k, target in m.transitions.items() if transitions.get(k) != target)
+    q, (i, j, k) = key
+    return f"{q} [{i},{j},{k}] " + ("deleted" if key not in transitions else f"-> {transitions[key]}")
+
+
+def census() -> str:
+    """One line per single fault of ``hilbert_sync()``, in the order of ``_single_faults``.
+
+    Each line names the fault, then every failing report of
+    ``verify_sync_suite(4)`` as name(witness); a fault that passes them all
+    at t = 4 lists its t = 5 failures instead.
+    """
+    m = hilbert_sync()
+    lines = []
+    for transitions, accepting in _single_faults(m):
+        faulty = SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
+                               accepting=accepting, transitions=transitions)
+        for t in (4, 5):
+            failed = [f"{r.name}({','.join(map(str, r.counterexample))})"
+                      for r in verify_sync_suite(t, machine=faulty) if not r.passed]
+            if failed:
+                break
+        lines.append(f"{_fault_name(m, transitions, accepting)} | t={t} " + " ".join(failed))
+    return "\n".join(lines) + "\n"
+
+
+def test_single_fault_census_matches_golden():
+    """Every single fault of the Hilbert machine fails the same reports with the same witnesses.
+
+    Regenerate the golden, from the tests directory, with
+    ``python -c "import sys; sys.path.insert(0, '../src'); import test_verify as v; v.CENSUS.write_text(v.census(), encoding='ascii')"``.
+    """
+    got, want = census().splitlines(), CENSUS.read_text(encoding="ascii").splitlines()
+    assert len(got) == len(want) == 450
+    mismatch = next(((g, w) for g, w in zip(got, want) if g != w), None)
+    assert mismatch is None, "first differing fault: got {!r}, golden {!r}".format(*mismatch)
+
+
 def _raised(lookup, *args):
     try:
         lookup(*args)
@@ -176,17 +221,25 @@ def test_pairs_outside_the_walked_grid_are_located_on_their_own():
 
 
 
-def test_a_pair_outside_the_walked_grid_that_locates_to_several_indices_fails_round_trip():
-    """Index 1 also reads x digit 32, so indices 1 and 2 share the pair (32, 0) outside the square."""
+def test_a_pair_outside_the_walked_grid_that_locates_to_several_indices_fails_round_trip(monkeypatch):
+    """Index 1 also reads x digit 32, so indices 1 and 2 share the pair (32, 0) outside the square.
+
+    The round trip fails at index 2, its first outside pair, so the suite
+    locates that one pair and none of the many outside pairs after it.
+    """
     spread = _spread()
     machine = SyncAutomaton(bases=spread.bases, state_count=2, initial=0, accepting=spread.accepting,
                             transitions={**spread.transitions, (0, (1, 32, 0)): 0})
     assert sync_coords(machine, 2) == (32, 0)
     with pytest.raises(MultipleAcceptingPathsError, match="^2 indices accepted for coordinates"):
         sync_locate(machine, 32, 0)
+    located = []
+    monkeypatch.setattr(verify, "sync_locate", lambda m, x, y: located.append((x, y)) or sync_locate(m, x, y))
     for t in (2, 4):
+        located.clear()
         by_name = {r.name: r.counterexample for r in verify_sync_suite(t, machine=machine)}
         assert by_name["coords_unique"] == (1,) and by_name["round_trip"] == (2,), t
+        assert located == [(32, 0)], t
 
 def test_walks_stay_bounded_on_bases_that_are_not_binary(monkeypatch):
     """Bases (4, 63, 63): 63 < 2**6 <= 63**2, so at t = 6 the locate walk reads two digit pairs.
