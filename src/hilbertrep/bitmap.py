@@ -35,7 +35,7 @@ from functools import cache
 from itertools import chain, islice, product
 from typing import TYPE_CHECKING, Iterator
 
-from .dfao import Dfao, Record, _successor_moves, determinize, explore
+from .dfao import Dfao, Record, _successor_moves, determinize, explore, require_at_least
 from .oracle import generate_generation, require_stage, walk
 
 if TYPE_CHECKING:
@@ -66,8 +66,7 @@ def __getattr__(name: str):
 
 
 def _check_stage(g: int) -> None:
-    if g < 1:
-        raise ValueError(f"stage index must be at least 1, got {g}")
+    require_at_least(g, 1, "stage index")
     require_stage(g)
 
 

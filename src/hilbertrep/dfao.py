@@ -4,8 +4,9 @@ hilbert_dfao() is an 8-state machine: running it on the base-4 digits of
 n, most significant digit first, ends in a state whose output is the n'th
 letter of the curve word; ``dfao_walk`` reads the letters of a whole
 range of indices at once.  The module also carries what the other
-representations share: the digit-string utilities, the ``Record`` base
-of the package's immutable value classes, and the automaton engine,
+representations share: the digit-string utilities, the one lower-bound
+check of a count (``require_at_least``), the ``Record`` base of the
+package's immutable value classes, and the automaton engine,
 ``explore`` (breadth-first discovery of the states reachable from a
 start), ``determinize`` (subset construction on top of it) and
 ``minimize_dfao`` (Moore's partition refinement), which build and
@@ -22,10 +23,15 @@ from typing import Hashable
 from .oracle import STEP, Direction
 
 
+def require_at_least(value: int, least: int, what: str) -> None:
+    """The one lower-bound check of a count: raise ValueError, naming ``what``, if value < least."""
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+
+
 def require_base(k: int) -> None:
     """Raise ValueError unless k is a usable digit base (at least 2)."""
-    if k < 2:
-        raise ValueError(f"base must be at least 2, got {k}")
+    require_at_least(k, 2, "base")
 
 
 # The bases whose digits fill whole bytes, each with its digits per byte, the
@@ -205,8 +211,7 @@ def dfao_walk(machine: Dfao, t: int) -> list[Hashable]:
     shared prefix is read once; leading zeros loop at the initial state,
     so the zero-padded strings end where the canonical digits do.
     """
-    if t < 0:
-        raise ValueError(f"digit count must be at least 0, got {t}")
+    require_at_least(t, 0, "digit count")
     if not t:
         return [machine.outputs[machine.initial]]
     states = [machine.initial]

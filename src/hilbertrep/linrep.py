@@ -30,7 +30,7 @@ from functools import cached_property, reduce
 from itertools import chain
 from operator import add
 
-from .dfao import Dfao, Record, _successor_moves, explore, from_base, require_base
+from .dfao import Dfao, Record, _successor_moves, explore, from_base, require_at_least, require_base
 from .oracle import STEP
 from .ratmat import SpanBasis, identity, mat_mul, mat_vec, matrix, transpose, vector
 
@@ -268,8 +268,7 @@ def linrep_walk(rep: LinearRep, t: int) -> list[tuple]:
     are held as one list per coordinate, so a matrix is applied to all of
     them by one list pass per nonzero entry.
     """
-    if t < 0:
-        raise ValueError(f"digit count must be at least 0, got {t}")
+    require_at_least(t, 0, "digit count")
     heads = [mat_mul(rep.v, g) for g in rep.gamma]
     pair_heads = [mat_mul(head, g) for head in heads[1:] for g in rep.gamma]
     values = [mat_vec(head, rep.w) for head in heads[:rep.base if t else 1]]
@@ -520,8 +519,7 @@ def guess_linrep(prefix, k: int, depth: int) -> GuessedLinearRep:
     terms or the refinements escape the span.
     """
     require_base(k)
-    if depth < 0:
-        raise ValueError(f"depth must be at least 0, got {depth}")
+    require_at_least(depth, 0, "depth")
     values = [tuple(entry) if isinstance(entry, (tuple, list)) else (entry,) for entry in prefix]
     dims = set(map(len, values))
     if not dims:

@@ -19,8 +19,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-Scalar = int | Fraction
-
 
 def norm_scalar(value):
     """Collapse an integral Fraction to a plain int."""

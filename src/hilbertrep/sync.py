@@ -33,7 +33,7 @@ from itertools import product, repeat
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .dfao import Record, from_base, require_base, to_base
+from .dfao import Record, from_base, require_at_least, require_base, to_base
 from .oracle import Point
 
 Triple = tuple[int, int, int]
@@ -369,8 +369,7 @@ def sync_walk(machine: SyncAutomaton, t: int) -> list[Point]:
     expanded together (``_path_walk``), so a shared prefix is read once:
     about (4/3)·4**t table steps for the Hilbert machine.
     """
-    if t < 0:
-        raise ValueError(f"digit count must be at least 0, got {t}")
+    require_at_least(t, 0, "digit count")
     points, failures = _coords_below(machine, machine.bases[0] ** t)
     if failures:
         sync_coords(machine, failures[0][0])  # raises what the per-index list raises first
@@ -429,8 +428,7 @@ def sync_locate_walk(machine: SyncAutomaton, t: int) -> list[int]:
     expanded as ``sync_walk`` expands indices, each path summing the
     point's grid position and its index.
     """
-    if t < 0:
-        raise ValueError(f"digit count must be at least 0, got {t}")
+    require_at_least(t, 0, "digit count")
     _, bx, by = machine.bases
     grid, height = _indices_within(machine, bx**t, by**t)
     if None in grid:

@@ -6,6 +6,8 @@ pin down the digit automaton, the functional and space-filling properties
 of the synchronized automaton, and the cross-representation agreement
 battery.  Checks are deterministic, iterate in increasing order so a
 failure reports its smallest witness, and are independent of one another.
+Each suite fills one table from report name to witness (None where the
+check passed), and its reports are read off that table in name order.
 ``zero_padding`` is decided exactly, not sampled: the initial state must
 loop on the all-zero triple, which makes leading zeros inert at any length.
 
@@ -23,7 +25,7 @@ trip checks.
 
 from __future__ import annotations
 
-from .dfao import Dfao, Record, dfao_equal, dfao_walk, hilbert_dfao, to_base
+from .dfao import Dfao, Record, dfao_equal, dfao_walk, hilbert_dfao, require_at_least, to_base
 from .linrep import (
     difference_rep,
     hilbert_linrep,
@@ -80,8 +82,10 @@ def format_report(report: VerifyReport) -> str:
     return f"name={report.name} bound={report.bound} passed={passed} witness={witness}"
 
 
-def _report(name: str, bound: int, witness: tuple[int, ...] | None) -> VerifyReport:
-    return VerifyReport(name=name, bound=bound, passed=witness is None, counterexample=witness)
+def _reports(bound: int, witness: dict[str, tuple[int, ...] | None]) -> list[VerifyReport]:
+    """One report per entry of a suite's name -> witness table, sorted by name; a None witness passes."""
+    return [VerifyReport(name=name, bound=bound, passed=found is None, counterexample=found)
+            for name, found in sorted(witness.items())]
 
 
 def _letters_below(machine: Dfao, count: int) -> list:
@@ -92,11 +96,6 @@ def _letters_below(machine: Dfao, count: int) -> list:
 def _first_difference(values, expected) -> tuple[int] | None:
     """The witness (n,) of the first n where ``values[n] != expected[n]``, or None."""
     return next(((n,) for n, (value, want) in enumerate(zip(values, expected)) if value != want), None)
-
-
-def _require_bound(bound: int) -> None:
-    if bound < 0:
-        raise ValueError(f"bound must be at least 0, got {bound}")
 
 
 def verify_identities(max_gen: int, *, machine: Dfao | None = None) -> list[VerifyReport]:
@@ -111,7 +110,7 @@ def verify_identities(max_gen: int, *, machine: Dfao | None = None) -> list[Veri
     of them, are those of stage max_gen + 1, so that stage must be within
     the stage budget (see ``require_stage``).
     """
-    _require_bound(max_gen)
+    require_at_least(max_gen, 0, "bound")
     require_stage(max_gen + 1)
     m = hilbert_dfao() if machine is None else machine
     letters = _letters_below(m, 4 ** (max_gen + 1) - 1)
@@ -132,18 +131,13 @@ def verify_identities(max_gen: int, *, machine: Dfao | None = None) -> list[Veri
                 return (n,)
         return None
 
-    reports = [
-        _report("origin_letter", max_gen,
-                None if letters[0] == Direction.U else (0,)),
-        _report("second_quarter_diagonal", max_gen, scan_range(1, 0, Coding.DIAGONAL)),
-        _report("third_quarter_diagonal", max_gen, scan_range(2, 1, Coding.DIAGONAL)),
-        _report("third_quarter_boundary", max_gen,
-                scan_point(lambda n: 3 * 4 ** n - 1, Direction.L, Direction.D)),
-        _report("fourth_quarter_rotation", max_gen, scan_range(3, 1, Coding.HALF_TURN)),
-        _report("block_boundary", max_gen,
-                scan_point(lambda n: 4 ** n - 1, Direction.R, Direction.U)),
-    ]
-    return sorted(reports, key=lambda r: r.name)
+    return _reports(max_gen, dict(
+        origin_letter=None if letters[0] == Direction.U else (0,),
+        second_quarter_diagonal=scan_range(1, 0, Coding.DIAGONAL),
+        third_quarter_diagonal=scan_range(2, 1, Coding.DIAGONAL),
+        third_quarter_boundary=scan_point(lambda n: 3 * 4 ** n - 1, Direction.L, Direction.D),
+        fourth_quarter_rotation=scan_range(3, 1, Coding.HALF_TURN),
+        block_boundary=scan_point(lambda n: 4 ** n - 1, Direction.R, Direction.U)))
 
 
 def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None) -> list[VerifyReport]:
@@ -164,7 +158,7 @@ def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None) -> list[V
     square is marked.  A pair outside the locate grid is located on its
     own, and only until a round trip has failed.
     """
-    _require_bound(t)
+    require_at_least(t, 0, "bound")
     m = hilbert_sync() if machine is None else machine
     points = walk(generate_generation(t))  # budget check before 4**t
     count = 4 ** t
@@ -218,7 +212,7 @@ def verify_sync_suite(t: int, *, machine: SyncAutomaton | None = None) -> list[V
         grid_unique=collision, round_trip=round_trip,
         origin_accepted=None if accepts(m, 0, 0, 0) else (0, 0, 0),
         zero_padding=None if m.transitions.get((m.initial, (0, 0, 0))) == m.initial else (0, 0, 0))
-    return [_report(name, t, witness[name]) for name in sorted(witness)]
+    return _reports(t, witness)
 
 
 def verify_cross(bound_exp: int) -> list[VerifyReport]:
@@ -231,7 +225,7 @@ def verify_cross(bound_exp: int) -> list[VerifyReport]:
     automaton recovered from the minimized step-difference representation
     must be isomorphic to the letter automaton.
     """
-    _require_bound(bound_exp)
+    require_at_least(bound_exp, 0, "bound")
     require_stage(bound_exp + 1)  # the stage hc_prefix reads, before 4**bound_exp
     count = 4 ** bound_exp
     word = hc_prefix(count)
@@ -251,11 +245,5 @@ def verify_cross(bound_exp: int) -> list[VerifyReport]:
     minimized = minimize_rep(difference_rep(shifted, rep))
     recovered = semigroup_trick(minimized)
     same, _ = dfao_equal(recovered, letters)
-    automaton_witness = None if same else ()
-
-    reports = [
-        _report("coordinates_agree", bound_exp, coords_witness),
-        _report("letters_agree", bound_exp, letters_witness),
-        _report("difference_automaton_matches", bound_exp, automaton_witness),
-    ]
-    return sorted(reports, key=lambda r: r.name)
+    return _reports(bound_exp, dict(coordinates_agree=coords_witness, letters_agree=letters_witness,
+                                    difference_automaton_matches=None if same else ()))

@@ -4,9 +4,9 @@ import re
 
 import pytest
 
-from hilbertrep.bitmap import Bitmap
+from hilbertrep.bitmap import Bitmap, render_from_walk, render_pbm
 from hilbertrep.cli import _COMMANDS, build_parser
-from hilbertrep.dfao import Dfao, dfao_from_text, dfao_to_text
+from hilbertrep.dfao import Dfao, dfao_from_text, dfao_to_text, dfao_walk, hilbert_dfao
 from hilbertrep.linrep import (
     InsufficientDataError,
     LinearRep,
@@ -17,10 +17,11 @@ from hilbertrep.linrep import (
     hilbert_linrep,
     increment_transducer,
     linrep_from_text,
+    linrep_walk,
     transduce_rep,
 )
 from hilbertrep.oracle import Direction, hc_prefix
-from hilbertrep.sync import SyncAutomaton, sync_from_text
+from hilbertrep.sync import SyncAutomaton, hilbert_sync, sync_from_text, sync_locate_walk, sync_walk
 from hilbertrep.textfmt import ParseError, read_text
 from hilbertrep.verify import verify_cross, verify_identities, verify_sync_suite
 
@@ -121,6 +122,14 @@ CASES = {
     "identities bound": (lambda: verify_identities(-1), ValueError, "bound must be at least 0, got -1"),
     "sync suite bound": (lambda: verify_sync_suite(-1), ValueError, "bound must be at least 0, got -1"),
     "cross bound": (lambda: verify_cross(-1), ValueError, "bound must be at least 0, got -1"),
+    "dfao walk digits": (lambda: dfao_walk(hilbert_dfao(), -1), ValueError, "digit count must be at least 0, got -1"),
+    "linrep walk digits": (lambda: linrep_walk(hilbert_linrep(), -1),
+                           ValueError, "digit count must be at least 0, got -1"),
+    "sync walk digits": (lambda: sync_walk(hilbert_sync(), -1), ValueError, "digit count must be at least 0, got -1"),
+    "sync locate walk digits": (lambda: sync_locate_walk(hilbert_sync(), -1),
+                                ValueError, "digit count must be at least 0, got -1"),
+    "render_pbm stage": (lambda: render_pbm(0), ValueError, "stage index must be at least 1, got 0"),
+    "render_from_walk stage": (lambda: render_from_walk(0), ValueError, "stage index must be at least 1, got 0"),
 }
 
 
