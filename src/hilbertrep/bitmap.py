@@ -15,18 +15,18 @@ the pixel above it is, the same with y+1 (the odd-odd pixel never is).
 Each connector relation runs two copies of S with msd-first successor
 recognizers on the coordinate and the index: two-state automata reading
 digit pairs (a, b) of the same length that accept exactly when b = a + 1.
-Each relation is projected to the point bits and determinized by subset
-construction (14, 74 and 74 subsets), and the three automata are
-combined as a product (the method of Walnut, Mousavi 2016): 128 states
-for the Hilbert machine, which Moore minimization (``minimize_dfao``)
-cuts to 66.  ``hilbert_bitmap()`` is that 66-state machine as a literal
-table, certified by the tests to equal the minimized derivation, so
-rendering neither loads the sync machine nor repeats the construction.
-``render_pbm`` streams the plain PBM rows of a stage from it, building
-the quadtree block of each state once up to a small level;
-``render_from_walk`` draws the image from the oracle's stage word into a
-``Bitmap``, the independent reference.  Output is plain-text PBM, chosen
-over the packed binary variant so golden files diff cleanly.
+The three relations are projected to the point bits and determinized by
+one subset construction over their disjoint union (the method of Walnut,
+Mousavi 2016): 128 subsets for the Hilbert machine, which Moore
+minimization (``minimize_dfao``) cuts to 66.  ``hilbert_bitmap()`` is
+that 66-state machine as a literal table, certified by the tests to
+equal the minimized derivation, so rendering neither loads the sync
+machine nor repeats the construction.  ``render_pbm`` streams the plain
+PBM rows of a stage from it, building the quadtree block of each state
+once up to a small level; ``render_from_walk`` draws the image from the
+oracle's stage word into a ``Bitmap``, the independent reference.
+Output is plain-text PBM, chosen over the packed binary variant so
+golden files diff cleanly.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import cache
 from itertools import chain, islice, product
 from typing import TYPE_CHECKING, Iterator
 
-from .dfao import Dfao, Record, _successor_moves, determinize, explore, require_at_least
+from .dfao import Dfao, Record, _successor_moves, determinize, require_at_least
 from .oracle import generate_generation, require_stage, walk
 
 if TYPE_CHECKING:
@@ -70,50 +70,6 @@ def _check_stage(g: int) -> None:
     require_stage(g)
 
 
-def _tracks(machine: SyncAutomaton):
-    """The lattice, right-connector and up-connector automata over point bit pairs."""
-    bn, bx, by = machine.bases
-    # groups[state][point symbol]: (target, the index digits of its arcs); the connectors pair the digits
-    groups = machine._locate.targets
-    final = machine.accepting.__contains__
-
-    def on_curve(q, s):
-        return [target for target, _ in groups[q].get(s, ())]
-
-    lattice = determinize({machine.initial}, on_curve, final, bx * by)
-    n_moves = _successor_moves(bn)
-
-    def connector(axis):
-        """∃n S(n, p) ∧ S(n±1, p + e_axis): states (q, q', axis recognizer, index recognizer, ±1)."""
-        c_moves = _successor_moves((bx, by)[axis])
-
-        def step(state, s):
-            q, q2, c, m, sign = state
-            point = divmod(s, by)
-            here = groups[q].get(s, ())
-            out = []
-            for d2 in range((bx, by)[axis]):  # the neighbour's digit on the axis
-                c2 = c_moves.get((c, point[axis], d2))
-                if c2 is None:
-                    continue
-                other = d2 * by + point[1] if axis == 0 else point[0] * by + d2
-                for (t, digits), (t2, digits2) in product(here, groups[q2].get(other, ())):
-                    for i, i2 in product(digits, digits2):
-                        m2 = n_moves.get((m, i, i2) if sign > 0 else (m, i2, i))
-                        if m2 is not None:
-                            out.append((t, t2, c2, m2, sign))
-            return out
-
-        def accepted(state):
-            q, q2, c, m, _ = state
-            return final(q) and final(q2) and c == 1 and m == 1
-
-        start = [(machine.initial, machine.initial, 0, 0, sign) for sign in (1, -1)]
-        return determinize(start, step, accepted, bx * by)
-
-    return lattice, connector(0), connector(1)
-
-
 def bitmap_dfao(machine: SyncAutomaton) -> Dfao:
     """The automatic bitmap of ``machine``'s curve as a base-(bx*by) DFAO.
 
@@ -121,20 +77,49 @@ def bitmap_dfao(machine: SyncAutomaton) -> Dfao:
     ``x_digit * by + y_digit``, most significant first, and outputs
     ``(lattice, right, up)``: whether (x, y) is on the curve, and whether
     the curve steps between it and (x+1, y), and between it and (x, y+1).
-    The state is that of the product of the three track automata; the
-    initial state is the product after one leading zero pair, which the
-    connector tracks need for the carry of x+1 or n+1.  Raises
-    ValueError (from ``Dfao``) if that state does not loop on a further
-    zero pair, as it does for the Hilbert machine.
+    One subset construction runs the three tracks, each NFA state tagged
+    with its track: lattice states are ``(0, q)``, and connector states
+    ``(1 + axis, q, q', axis recognizer, index recognizer, ±1)`` for
+    ∃n S(n, p) ∧ S(n±1, p + e_axis).  It starts after one leading zero
+    pair, which the connectors need for the carry of x+1 or n+1; ``Dfao``
+    raises ValueError if that subset does not loop on a further zero pair.
     """
-    tracks = _tracks(machine)
-    symbols = len(tracks[0][0][0])
-    order, transitions = explore(
-        tuple(rows[0][0] for rows, _ in tracks),
-        lambda states, s: tuple(rows[q][s] for (rows, _), q in zip(tracks, states)),
-        symbols)
-    outputs = tuple(tuple(flags[q] for (_, flags), q in zip(tracks, states)) for states in order)
-    return Dfao(base=symbols, transitions=tuple(transitions), outputs=outputs)
+    bn, bx, by = machine.bases
+    # groups[state][point symbol]: (target, the index digits of its arcs); the connectors pair the digits
+    groups = machine._locate.targets
+    final = machine.accepting
+    n_moves = _successor_moves(bn)
+    c_moves = (_successor_moves(bx), _successor_moves(by))
+
+    def step(state, s):
+        track, q, *pair = state
+        if not track:
+            return [(0, target) for target, _ in groups[q].get(s, ())]
+        q2, c, m, sign = pair
+        axis = track - 1
+        point = divmod(s, by)
+        out = []
+        for d2 in range((bx, by)[axis]):  # the neighbour's digit on the axis
+            c2 = c_moves[axis].get((c, point[axis], d2))
+            if c2 is None:
+                continue
+            other = d2 * by + point[1] if axis == 0 else point[0] * by + d2
+            for (t, digits), (t2, digits2) in product(groups[q].get(s, ()), groups[q2].get(other, ())):
+                for i, i2 in product(digits, digits2):
+                    m2 = n_moves.get((m, i, i2) if sign > 0 else (m, i2, i))
+                    if m2 is not None:
+                        out.append((track, t, t2, c2, m2, sign))
+        return out
+
+    def output(subset):  # per track: does the subset hold an accepting state?
+        hits = {track for track, q, *pair in subset
+                if q in final and (not track or pair[0] in final and pair[1] == pair[2] == 1)}
+        return tuple(track in hits for track in range(3))
+
+    roots = [(0, machine.initial)]
+    roots += [(track, machine.initial, machine.initial, 0, 0, sign) for track in (1, 2) for sign in (1, -1)]
+    rows, outputs = determinize(chain.from_iterable(step(root, 0) for root in roots), step, output, bx * by)
+    return Dfao(base=bx * by, transitions=tuple(rows), outputs=tuple(outputs))
 
 
 # (state, targets on the symbols 2 * x_bit + y_bit, (lattice, right, up)) of minimize_dfao(

@@ -50,11 +50,13 @@ def to_base(n: int, k: int) -> tuple[int, ...]:
     at a time through a table, in time linear in the digit count; other
     bases peel one digit per ``divmod``.
     """
-    require_base(k)
+    byte_digits = _BYTE_DIGITS.get(k)
+    if byte_digits is None:  # the byte-table bases are valid ones
+        require_base(k)
     if n < 0:
         raise ValueError(f"cannot represent negative value {n}")
-    if k in _BYTE_DIGITS:
-        width, table, _ = _BYTE_DIGITS[k]
+    if byte_digits:
+        width, table, _ = byte_digits
         bits = n.bit_length()
         count = -(-bits * width // 8) or 1  # n's digits, 8 // width bits each; zero has one
         digits = b"".join(map(table.__getitem__, n.to_bytes((bits + 7) // 8 or 1, "big")))
@@ -278,17 +280,18 @@ def _successor_moves(k: int) -> dict[tuple[int, int, int], int]:
     return moves
 
 
-def determinize(start, step, accepting, symbols: int):
-    """Subset construction from the NFA states ``start``: transition rows and accepting flags.
+def determinize(start, step, output, symbols: int):
+    """Subset construction from the NFA states ``start``: transition rows and one output per subset.
 
-    ``step(q, s)`` lists the NFA successors of q on symbol s; subset 0 is
-    ``start`` and the empty subset is an ordinary (dead) state.
+    ``step(q, s)`` lists the NFA successors of q on symbol s and ``output``
+    reads a frozenset of them; subset 0 is ``start``, the empty subset an
+    ordinary (dead) state.
     """
     step = cache(step)
     subsets, rows = explore(
         frozenset(start), lambda subset, s: frozenset(chain.from_iterable(map(step, subset, repeat(s)))),
         symbols)
-    return rows, [any(map(accepting, subset)) for subset in subsets]
+    return rows, [output(subset) for subset in subsets]
 
 
 def minimize_dfao(machine: Dfao) -> Dfao:

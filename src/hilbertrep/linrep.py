@@ -333,25 +333,30 @@ def check_functional(trans: Transducer) -> None:
     of moves on it, the transducer is ambiguous exactly when a pair of
     distinct moves is both reachable from (initial, initial) and able to
     reach a pair of final states (Allauzen, Mohri & Rastogi, DLT 2008).
-    A breadth-first search over the product, with one more bit for
-    whether the two paths have parted yet, finds such a completion
-    directly; the error names the shortest such input that comes first
-    in digit order.
+    A search over the product, one input length at a time, with one more
+    bit for whether the two paths have parted, finds such a completion
+    directly.  Each length's new triples keep the least input reaching
+    them, found by extending the previous length's inputs in (input,
+    digit) order, so the error names the least ambiguous input, shortest
+    first.
     """
-    moves_on = trans._moves_on
-    start = (trans.initial, trans.initial, False)
-    prefix = {start: ()}  # a shortest input reaching each (state, state, parted)
-    order = [start]
-    for p, q, parted in order:
-        if parted and p in trans.final and q in trans.final:
-            raise NonFunctionalTransducerError(f"input {prefix[p, q, parted]} has multiple accepting paths")
-        for digit in range(trans.base):
+    moves_on, final = trans._moves_on, trans.final
+    layer = {(trans.initial, trans.initial, False): ()}  # (state, state, parted) first reached: its least input
+    seen = set(layer)
+    while layer:
+        ambiguous = [word for (p, q, parted), word in layer.items() if parted and p in final and q in final]
+        if ambiguous:
+            raise NonFunctionalTransducerError(f"input {min(ambiguous)} has multiple accepting paths")
+        found = {}
+        for word, digit, (p, q, parted) in sorted((word, digit, triple) for triple, word in layer.items()
+                                                  for digit in range(trans.base)):
             for move in moves_on.get((p, digit), ()):
                 for other in moves_on.get((q, digit), ()):
                     target = (move[1], other[1], parted or (p, move) != (q, other))
-                    if target not in prefix:
-                        prefix[target] = prefix[p, q, parted] + (digit,)
-                        order.append(target)
+                    if target not in seen:
+                        found.setdefault(target, word + (digit,))
+        seen.update(found)
+        layer = found
 
 
 def _word_matrix(rep: LinearRep, word) -> tuple[tuple, ...]:

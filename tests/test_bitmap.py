@@ -1,8 +1,10 @@
 """Stage images and the plain PBM writer."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
+from test_sync import _single_faults
 
 from hilbertrep.bitmap import (
     Bitmap,
@@ -133,6 +135,30 @@ def test_bitmap_dfao_reads_every_index_digit_of_parallel_arcs():
         for y in range(8):
             block = (bool(indices[x, y]), joined((x, y), (x + 1, y)), joined((x, y), (x, y + 1)))
             assert eval_dfao(derived, _interleaved(x, y)) == block, (x, y)
+
+
+def _derivation(machine):
+    """``repr(bitmap_dfao(machine))``, or the error's type and message where it raises."""
+    try:
+        return repr(bitmap_dfao(machine))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_the_derivation_is_pinned_on_single_faults():
+    """One digest over the Hilbert machine's derivation and that of every 45th single fault.
+
+    The faults are those of ``tests/test_sync.py``; some raise because
+    their start does not loop on a zero pair.  The digest pins states,
+    numbering and outputs, so any change in how the tracks are built shows.
+    """
+    m = hilbert_sync()
+    faults = [SyncAutomaton(bases=m.bases, state_count=m.state_count, initial=m.initial,
+                            accepting=accepting, transitions=transitions)
+              for transitions, accepting in _single_faults(m)]
+    text = "\n".join(map(_derivation, [m, *faults[::45]]))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "03085b480871370c7760282bf983c8f5fe3dee494b2b41ffe005e19baaf08dde")
 
 
 def test_connectors_join_exactly_two_lattice_pixels():

@@ -72,6 +72,7 @@ def test_digit_helpers_keep_their_messages(k):
     cases = [
         (lambda: to_base(-1, k), "cannot represent negative value -1"),
         (lambda: to_base(5, 1), "base must be at least 2, got 1"),
+        (lambda: to_base(-1, 1), "base must be at least 2, got 1"),  # the base is checked first
         (lambda: from_base((1, k, 0), k), f"digit {k} out of range for base {k}"),
         (lambda: from_base((1, 256), k), f"digit 256 out of range for base {k}"),  # no byte value
         (lambda: from_base((0, -1, k), k), f"digit -1 out of range for base {k}"),  # the first bad one

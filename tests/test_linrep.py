@@ -1,5 +1,6 @@
 """Linear representations: evaluation, composition, minimization, recovery."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
@@ -293,6 +294,40 @@ def test_functional_check_is_exact_for_every_length():
     dead_end = Transducer(base=2, state_count=3, initial=0, final=frozenset({1}),
                           moves=frozenset({(0, 0, (0,), 1), (0, 0, (1,), 2)}))
     check_functional(dead_end)
+    # (0, 0) and (0, 1) both have two accepting paths; the least is named, not the first expanded
+    loops = Transducer(base=2, state_count=2, initial=0, final=frozenset({1}),
+                       moves=frozenset({(0, 0, (), 1), (0, 0, (0,), 0), (0, 0, (1,), 0),
+                                        (1, 1, (), 1), (1, 1, (0,), 1)}))
+    with pytest.raises(NonFunctionalTransducerError, match=r"input \(0, 0\) has"):
+        check_functional(loops)
+
+
+def test_functional_check_names_the_least_ambiguous_input():
+    """300 seeded small transducers against brute force through ``transducer_outputs``.
+
+    Where the check refuses, it names the shortlex-least input with more
+    than one accepting path: the least of at most 4 digits, or, when there
+    is none, a longer input that has them.  Where it passes, no input of
+    at most 4 digits has them.
+    """
+    rng = random.Random(7)
+    for _ in range(300):
+        base, count = rng.randint(2, 3), rng.randint(1, 5)
+        moves = frozenset((rng.randrange(count), rng.randrange(base),
+                           tuple(rng.randrange(base) for _ in range(rng.randint(0, 2))), rng.randrange(count))
+                          for _ in range(rng.randint(1, 12)))
+        final = frozenset(q for q in range(count) if rng.random() < 0.4)
+        trans = Transducer(base=base, state_count=count, initial=0, final=final, moves=moves)
+        least = next((digits for length in range(5) for digits in itertools.product(range(base), repeat=length)
+                      if len(transducer_outputs(trans, digits)) > 1), None)
+        try:
+            check_functional(trans)
+        except NonFunctionalTransducerError as exc:
+            named = ast.literal_eval(str(exc).removeprefix("input ").removesuffix(" has multiple accepting paths"))
+            assert named == least or least is None and len(named) > 4, (trans, named, least)
+            assert len(transducer_outputs(trans, named)) > 1
+        else:
+            assert least is None, (trans, least)
 
 
 def test_difference_rep():
