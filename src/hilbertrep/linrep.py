@@ -496,6 +496,11 @@ def semigroup_trick(rep: LinearRep) -> Dfao:
     return Dfao(base=rep.base, transitions=tuple(transitions), outputs=tuple(outputs))
 
 
+def _exact(types) -> bool:
+    """Whether every type in ``types`` is an exact number type: int (bool included) or Fraction."""
+    return all(issubclass(t, (int, Fraction)) for t in types)
+
+
 class GuessedLinearRep(Record):
     """Uncertified candidate representation fitted to prefix data.
 
@@ -519,28 +524,38 @@ def guess_linrep(prefix, k: int, depth: int) -> GuessedLinearRep:
     from expressing every basis element's digit-refinements in that basis;
     the scan kept the coordinates of those at levels <= depth, so only the
     refinements at level depth + 1 are eliminated anew.  Entries of
-    ``prefix`` may be numbers or equal-length tuples.  Raises
+    ``prefix`` may be exact numbers (ints, bools or Fractions) or
+    equal-length tuples or lists of them; a prefix of numbers is read as it
+    is, with no copy per term.  Raises ValueError on any other entry, and
     InsufficientDataError when the prefix is shorter than k**(depth + 2)
     terms or the refinements escape the span.
     """
     require_base(k)
     require_at_least(depth, 0, "depth")
-    values = [tuple(entry) if isinstance(entry, (tuple, list)) else (entry,) for entry in prefix]
-    dims = set(map(len, values))
-    if not dims:
+    values = prefix if isinstance(prefix, (list, tuple)) else list(prefix)
+    if not values:
         raise InsufficientDataError("empty prefix")
-    if len(dims) > 1:
-        raise ValueError("prefix entries must all have the same dimension")
-    (out_dim,) = dims
+    types = set(map(type, values))
+    scalar = _exact(types)
+    if not scalar:
+        if not types <= {tuple, list}:  # a scalar among them is read as a 1-tuple
+            values = [tuple(entry) if isinstance(entry, (tuple, list)) else (entry,) for entry in values]
+        if len(set(map(len, values))) > 1:
+            raise ValueError("prefix entries must all have the same dimension")
+        if not _exact(set(map(type, chain.from_iterable(values)))):
+            inexact = next(x for x in chain.from_iterable(values) if not isinstance(x, (int, Fraction)))
+            raise ValueError(f"prefix entries must be ints or Fractions, got {type(inexact).__name__}")
+    out_dim = 1 if scalar else len(values[0])
     if len(values) < k ** (depth + 2):
         raise InsufficientDataError(
             f"need at least {k ** (depth + 2)} terms to overdetermine relations, got {len(values)}"
         )
     samples = len(values) // k ** (depth + 1)
 
-    def sample_vector(e: int, i: int) -> tuple:
+    def sample_vector(e: int, i: int):
         stride = k ** e  # values[stride * n + i] for n < samples, coordinates of each value in turn
-        return tuple(chain.from_iterable(values[i:i + stride * samples:stride]))
+        rows = values[i:i + stride * samples:stride]
+        return rows if scalar else tuple(chain.from_iterable(rows))
 
     basis = SpanBasis(samples * out_dim)
     spanning: list[tuple[int, int]] = []
@@ -564,7 +579,8 @@ def guess_linrep(prefix, k: int, depth: int) -> GuessedLinearRep:
                 )
             rows.append(basis.padded(coords))
         gamma.append(transpose(rows))
-    v = [[values[i][c] for _, i in spanning] for c in range(out_dim)]
+    heads = [values[i] for _, i in spanning]
+    v = [heads] if scalar else [[entry[c] for entry in heads] for c in range(out_dim)]
     w = tuple(int(i == 0) for i in range(len(spanning)))
     return GuessedLinearRep(LinearRep(base=k, v=v, gamma=gamma, w=w), tuple(spanning))
 

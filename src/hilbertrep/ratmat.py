@@ -4,9 +4,10 @@ Matrices are tuples of row tuples.  Entries are Python ints, or Fractions
 when a value is genuinely non-integral; keeping integral values as ints
 makes the common all-integer case fast while every operation stays exact.
 ``SpanBasis`` eliminates over the integers alone: an entering vector is
-scaled to integers by the lcm of its denominators, and Fractions are
-formed only for the coordinates it returns; ``express`` admits a vector
-or returns its coordinates from one elimination.  Empty shapes pass through:
+read as it is when all its entries are ints, and otherwise scaled to
+integers by the lcm of its denominators.  Fractions are formed only for
+the coordinates it returns; ``express`` admits a vector or returns its
+coordinates from one elimination.  Empty shapes pass through:
 ``transpose(())`` is ``()``, and ``mat_mul(a, ())`` is ``len(a)`` empty
 rows, so rank-0 representations need no special case.  Dimensions in this
 package never exceed a few dozen, so nothing here is tuned beyond that
@@ -65,9 +66,11 @@ class SpanBasis:
     admitted vectors.  Elimination is fraction-free (Bareiss 1968): each
     echelon row, pivoting on its first nonzero position, and its
     combination over ``vectors`` are together one primitive integer row.
-    An entering vector is scaled by the lcm of its denominators and
-    reduced by cross-multiplying with each echelon row, tracking one
-    integer ``scale`` with scale * vec == residual + acc . vectors.
+    An entering vector of plain ints is read as it is; any other (one
+    Fraction, integral or not, or one bool is enough) is scaled by the lcm
+    of its denominators.  It is then reduced by cross-multiplying with each
+    echelon row, tracking one integer ``scale`` with
+    scale * vec == residual + acc . vectors.
     """
 
     def __init__(self, dim: int):
@@ -78,8 +81,11 @@ class SpanBasis:
     def _eliminate(self, vec) -> tuple[list[int], list[int], int]:
         if len(vec) != self.dim:
             raise ValueError(f"expected a vector of length {self.dim}, got {len(vec)}")
-        scale = lcm(*(v.denominator for v in vec))
-        residual = [v.numerator * (scale // v.denominator) for v in vec]
+        if set(map(type, vec)) <= {int}:  # integer data is read as it is
+            scale, residual = 1, list(vec)
+        else:
+            scale = lcm(*(v.denominator for v in vec))
+            residual = [v.numerator * (scale // v.denominator) for v in vec]
         acc = [0] * len(self.vectors)
         for pivot, echelon, comb in self._rows:
             lead = residual[pivot]

@@ -89,6 +89,10 @@ CASES = {
     "guess empty": (lambda: guess_linrep([], 4, 1), InsufficientDataError, "empty prefix"),
     "guess ragged": (lambda: guess_linrep([(0, 0), (1,)], 4, 1),
                      ValueError, "prefix entries must all have the same dimension"),
+    "guess float": (lambda: guess_linrep([0, 0.5, "1"] * 22, 4, 1),
+                    ValueError, "prefix entries must be ints or Fractions, got float"),
+    "guess str": (lambda: guess_linrep([(0, 1), (2, "3")] * 32, 4, 1),
+                  ValueError, "prefix entries must be ints or Fractions, got str"),
     "guess base": (lambda: guess_linrep(list(range(64)), 0, 2), ValueError, "base must be at least 2, got 0"),
     "guess depth": (lambda: guess_linrep(list(range(64)), 4, -1), ValueError, "depth must be at least 0, got -1"),
     "linrep scalar": (lambda: linrep_from_text(LINREP + "v\nx\n"),

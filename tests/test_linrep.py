@@ -3,6 +3,7 @@
 import ast
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -445,6 +446,69 @@ def test_guess_needs_enough_data():
         guess_linrep([p.x for p in POINTS[:60]], 4, 2)
 
 
+XS = [p.x for p in POINTS]
+GUESS_SHAPES = {
+    "list": lambda: XS,
+    "tuple": lambda: tuple(XS),
+    "generator": lambda: (x for x in XS),
+    "1-tuples": lambda: [(x,) for x in XS],
+    "1-lists": lambda: [[x] for x in XS],
+    "integral Fractions": lambda: [Fraction(x, 1) for x in XS],
+    "scalars mixed with 1-tuples": lambda: [(x,) if n % 3 else x for n, x in enumerate(XS)],
+}
+
+
+def _guess_outcome(prefix, depth):
+    """The guess with the types of its entries, or the error it ends in."""
+    try:
+        guess = guess_linrep(prefix, 4, depth)
+    except InsufficientDataError as exc:
+        return str(exc)
+    return guess, [(x, type(x)) for m in (guess.rep.v, *guess.rep.gamma) for row in m for x in row]
+
+
+@pytest.mark.parametrize("depth", (1, 2))
+@pytest.mark.parametrize("shape", GUESS_SHAPES)
+def test_guess_reads_every_prefix_shape_alike(shape, depth):
+    """Numbers, 1-sequences and integral Fractions, in any container, give one outcome.
+
+    At depth 1 that is the refinements' escape from the span; at depth 2 a
+    rank-5 guess with int entries only.
+    """
+    outcome = _guess_outcome(GUESS_SHAPES[shape](), depth)
+    assert outcome == _guess_outcome(XS, depth)
+    assert isinstance(outcome, str) == (depth == 1)
+
+
+def test_guess_dimensions_fractions_and_bools():
+    with pytest.raises(ValueError, match="^prefix entries must all have the same dimension$"):
+        guess_linrep([(x, x) if n % 3 else x for n, x in enumerate(XS)], 4, 2)
+    thirds = [Fraction(x, 3) for x in XS]
+    rep = guess_linrep(thirds, 4, 2).rep
+    assert all(eval_linrep(rep, n) == (third,) for n, third in enumerate(thirds))
+    parities = [n % 3 == 1 for n in range(64)]
+    assert guess_linrep(parities, 4, 1) == guess_linrep([int(b) for b in parities], 4, 1)
+
+
+def _traced_peak(build) -> int:
+    """Bytes allocated at the peak of a warm ``build()``, above what was held before it."""
+    build()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_guess_allocates_no_copy_per_term():
+    """A 4**6-term prefix is read without one object per term (a 1-tuple each took about 147 KB)."""
+    assert _traced_peak(lambda: guess_linrep(XS, 4, 2)) < 100_000
+    pairs = [tuple(p) for p in POINTS]
+    assert _traced_peak(lambda: guess_linrep(pairs, 4, 2)) < 120_000
+
+
 def test_text_round_trip():
     rank_zero = (minimize_rep(difference_rep(hilbert_linrep(), hilbert_linrep())),
                  guess_linrep([0] * 64, 4, 1).rep)
@@ -580,11 +644,10 @@ def test_span_basis_matches_fraction_reference():
             return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
         return rng.randint(-9, 9)
 
-    for _ in range(300):
+    def random_trial():
         dim = rng.randint(0, 6)
-        basis, reference, twin = SpanBasis(dim), _FractionSpanBasis(dim), SpanBasis(dim)
         seen = [tuple(scalar() for _ in range(dim))]
-        expressed = []
+        steps = []  # (vector, whether it is expressed, else only given coordinates)
         for _ in range(rng.randint(1, 12)):
             kind = rng.randrange(4)
             if kind == 0:  # fresh, usually outside the span
@@ -597,7 +660,21 @@ def test_span_basis_matches_fraction_reference():
                 terms = [(scalar(), rng.choice(seen)) for _ in range(rng.randint(1, 3))]
                 vec = vector(sum(c * u[i] for c, u in terms) for i in range(dim))
             seen.append(vec)
-            if rng.random() < 0.6:
+            steps.append((vec, rng.random() < 0.6))
+        return dim, seen, steps
+
+    # Plain ints skip the denominator pass; an integral Fraction or a bool
+    # entry must not, even where it is the lead of an elimination step.
+    ints = (-8, 3, 0, 1)
+    fixed = [(ints, True), ((Fraction(-8, 1), 3, 0, 1), False), ((-8, 3, 0, True), True), (list(ints), True),
+             ((True, 0, 2, 0), True), ((Fraction(-8, 1), 3, 4, 1), True), ((-8, 3, 0, Fraction(2, 3)), True),
+             ((Fraction(-16, 3), 2, 0, Fraction(2, 3)), False)]
+    trials = [(4, [vec for vec, _ in fixed], fixed)] + [random_trial() for _ in range(300)]
+    for dim, seen, steps in trials:
+        basis, reference, twin = SpanBasis(dim), _FractionSpanBasis(dim), SpanBasis(dim)
+        expressed = []
+        for vec, via_express in steps:
+            if via_express:
                 coords = twin.express(vec)
                 assert basis.add_if_new(vec) == reference.add_if_new(vec), vec
                 assert _typed(coords) == _typed(reference.coordinates(vec)), vec
