@@ -35,7 +35,7 @@ from functools import cache
 from itertools import chain, islice, product
 from typing import TYPE_CHECKING, Iterator
 
-from .dfao import Dfao, Record, _successor_moves, determinize, require_at_least
+from .dfao import Dfao, Record, _successor_moves, determinize
 from .oracle import generate_generation, require_stage, walk
 
 if TYPE_CHECKING:
@@ -63,11 +63,6 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .sync import sync_locate
     return sync_locate
-
-
-def _check_stage(g: int) -> None:
-    require_at_least(g, 1, "stage index")
-    require_stage(g)
 
 
 def bitmap_dfao(machine: SyncAutomaton) -> Dfao:
@@ -245,7 +240,7 @@ def render_pbm(g: int) -> Iterator[bytes]:
     ``hilbert_bitmap()``, so memory stays at the size of one
     band of rows plus the cached blocks, whatever g is.
     """
-    _check_stage(g)
+    require_stage(g, 1)
     side = 2 ** (g + 1) - 1
     header = f"P1\n{side} {side}\n".encode("ascii")
     return chain([header], islice(_pixel_rows(hilbert_bitmap(), g), 1, None))
@@ -274,7 +269,7 @@ def _draw(g: int, points) -> Bitmap:
 
 def render_from_walk(g: int) -> Bitmap:
     """Render stage g from the walked stage word; the independent route."""
-    _check_stage(g)
+    require_stage(g, 1)
     return _draw(g, walk(generate_generation(g)))
 
 

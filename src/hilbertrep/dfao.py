@@ -4,9 +4,8 @@ hilbert_dfao() is an 8-state machine: running it on the base-4 digits of
 n, most significant digit first, ends in a state whose output is the n'th
 letter of the curve word; ``dfao_walk`` reads the letters of a whole
 range of indices at once.  The module also carries what the other
-representations share: the digit-string utilities, the one lower-bound
-check of a count (``require_at_least``), the ``Record`` base of the
-package's immutable value classes, and the automaton engine,
+representations share: the digit-string utilities, the ``Record`` base
+of the package's immutable value classes, and the automaton engine,
 ``explore`` (breadth-first discovery of the states reachable from a
 start), ``determinize`` (subset construction on top of it) and
 ``minimize_dfao`` (Moore's partition refinement), which build and
@@ -20,13 +19,7 @@ from functools import cache
 from itertools import chain, product, repeat
 from typing import Hashable
 
-from .oracle import STEP, Direction
-
-
-def require_at_least(value: int, least: int, what: str) -> None:
-    """The one lower-bound check of a count: raise ValueError, naming ``what``, if value < least."""
-    if value < least:
-        raise ValueError(f"{what} must be at least {least}, got {value}")
+from .oracle import STEP, Direction, require_at_least
 
 
 def require_base(k: int) -> None:
@@ -357,6 +350,7 @@ def dfao_from_text(text: str) -> Dfao:
 
     header_line, fields, body = read_text(text, "dfao", ("base", "states", "initial"))
     base = parse_int(fields["base"], header_line, "base")
+    require_base(base)
     count = parse_int(fields["states"], header_line, "state count")
     initial = parse_int(fields["initial"], header_line, "initial state")
 

@@ -30,9 +30,9 @@ from functools import cached_property, reduce
 from itertools import chain
 from operator import add
 
-from .dfao import Dfao, Record, _successor_moves, explore, from_base, require_at_least, require_base
-from .oracle import STEP
-from .ratmat import SpanBasis, identity, mat_mul, mat_vec, matrix, transpose, vector
+from .dfao import Dfao, Record, _successor_moves, explore, from_base, require_base
+from .oracle import STEP, require_at_least
+from .ratmat import SpanBasis, identity, mat_mul, mat_vec, matrix, norm_scalar, transpose, vector
 
 
 class NonFunctionalTransducerError(ValueError):
@@ -48,7 +48,10 @@ class InsufficientDataError(ValueError):
 
 
 class LinearRep(Record):
-    """Exact linear representation (v, gamma, w) over base-k digits."""
+    """Exact linear representation (v, gamma, w) over base-k digits.
+
+    Entries pass ``ratmat.norm_scalar``: a bool becomes an int; a float or a Decimal raises ValueError.
+    """
 
     _fields = ("base", "v", "gamma", "w")
 
@@ -588,30 +591,23 @@ def guess_linrep(prefix, k: int, depth: int) -> GuessedLinearRep:
 def parse_scalar(token: str, lineno: int):
     """Parse an exact scalar: a plain integer or a p/q rational."""
     try:
-        value = Fraction(token)
+        return norm_scalar(Fraction(token))
     except (ValueError, ZeroDivisionError):
         from .textfmt import ParseError
         raise ParseError(lineno, f"expected integer or rational, got {token!r}") from None
-    return int(value) if value.denominator == 1 else value
-
-
-def format_scalar(value) -> str:
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value))
 
 
 def linrep_to_text(rep: LinearRep) -> str:
-    """Serialize to the canonical text form."""
+    """Serialize to the canonical text form; ``str`` of a stored entry is its text."""
     lines = [f"linrep base={rep.base} out={rep.out_dim} rank={rep.rank}"]
     lines.append("v")
     # rank-0 rows are empty and get no line; the parser restores them
-    lines.extend(" ".join(format_scalar(x) for x in row) for row in rep.v if row)
+    lines.extend(" ".join(map(str, row)) for row in rep.v if row)
     for d, g in enumerate(rep.gamma):
         lines.append(f"gamma {d}")
-        lines.extend(" ".join(format_scalar(x) for x in row) for row in g)
+        lines.extend(" ".join(map(str, row)) for row in g)
     lines.append("w")
-    lines.extend(format_scalar(x) for x in rep.w)
+    lines.extend(map(str, rep.w))
     return "\n".join(lines) + "\n"
 
 
@@ -621,6 +617,7 @@ def linrep_from_text(text: str) -> LinearRep:
 
     header_line, fields, body = read_text(text, "linrep", ("base", "out", "rank"))
     base = parse_int(fields["base"], header_line, "base")
+    require_base(base)
     out_dim = parse_int(fields["out"], header_line, "output dimension")
     rank = parse_int(fields["rank"], header_line, "rank")
     if rank == 0 and out_dim > len(body) + 1:

@@ -84,11 +84,18 @@ def recode(coding: Coding, letter: Direction) -> Direction:
     return Direction(_CODING_TABLES[coding][letter])
 
 
-def require_stage(n: int) -> None:
-    """The one stage-budget check: raise GenerationBudgetError if n exceeds the budget.
+def require_at_least(value: int, least: int, what: str) -> None:
+    """The one lower-bound check of a count: raise ValueError, naming ``what``, if value < least."""
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+
+
+def require_stage(n: int, least: int = 0) -> None:
+    """The one gate before stage-sized work: ValueError if n < least, GenerationBudgetError past the budget.
 
     The budget is ``HILBERT_BUDGET`` if set and not empty, else DEFAULT_MAX_GENERATION.
     """
+    require_at_least(n, least, "stage index")
     value = os.environ.get("HILBERT_BUDGET")
     try:
         budget = int(value) if value else DEFAULT_MAX_GENERATION
@@ -109,8 +116,6 @@ def generate_generation(n: int) -> bytes:
     Raises GenerationBudgetError when n exceeds the stage budget
     (see require_stage), ValueError when n is negative.
     """
-    if n < 0:
-        raise ValueError(f"stage index must be non-negative, got {n}")
     require_stage(n)
     word = b""
     for stage in range(n):
@@ -130,8 +135,7 @@ def hc_prefix(length: int) -> bytes:
     Computed by expanding the smallest stage of at least that length and
     truncating; the stage budget is the same as generate_generation's.
     """
-    if length < 0:
-        raise ValueError(f"prefix length must be non-negative, got {length}")
+    require_at_least(length, 0, "prefix length")
     n = (length.bit_length() + 1) // 2  # the smallest n with 4**n - 1 >= length
     return generate_generation(n)[:length]
 

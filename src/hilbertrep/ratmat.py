@@ -1,8 +1,9 @@
 """Small exact-arithmetic matrix helpers for the linear representations.
 
-Matrices are tuples of row tuples.  Entries are Python ints, or Fractions
-when a value is genuinely non-integral; keeping integral values as ints
-makes the common all-integer case fast while every operation stays exact.
+Matrices are tuples of row tuples.  Entries are ints, or Fractions when a
+value is genuinely non-integral, by the one rule ``norm_scalar``, which
+turns a bool into an int and refuses a float or a Decimal: nothing here
+rounds, and the common all-integer case stays fast.
 ``SpanBasis`` eliminates over the integers alone: an entering vector is
 read as it is when all its entries are ints, and otherwise scaled to
 integers by the lcm of its denominators.  Fractions are formed only for
@@ -22,10 +23,16 @@ from operator import mul
 
 
 def norm_scalar(value):
-    """Collapse an integral Fraction to a plain int."""
-    if type(value) is not int and isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
+    """The one rule for a stored scalar: an int, or a non-integral Fraction as it is.
+
+    An integral Fraction or a bool becomes an int; any other value, such as
+    a float or a Decimal, raises ValueError naming its type.
+    """
+    if type(value) is int:
+        return value
+    if not isinstance(value, (int, Fraction)):
+        raise ValueError(f"entries must be ints or Fractions, got {type(value).__name__}")
+    return int(value) if value.denominator == 1 else value
 
 
 def vector(values) -> tuple:
@@ -67,10 +74,10 @@ class SpanBasis:
     echelon row, pivoting on its first nonzero position, and its
     combination over ``vectors`` are together one primitive integer row.
     An entering vector of plain ints is read as it is; any other (one
-    Fraction, integral or not, or one bool is enough) is scaled by the lcm
-    of its denominators.  It is then reduced by cross-multiplying with each
-    echelon row, tracking one integer ``scale`` with
-    scale * vec == residual + acc . vectors.
+    Fraction, integral or not, or one bool is enough) goes through
+    ``norm_scalar`` and is scaled by the lcm of its denominators.  It is
+    then reduced by cross-multiplying with each echelon row, tracking one
+    integer ``scale`` with scale * vec == residual + acc . vectors.
     """
 
     def __init__(self, dim: int):
@@ -78,12 +85,13 @@ class SpanBasis:
         self.vectors: list[tuple] = []
         self._rows: list[tuple[int, list[int], list[int]]] = []  # (pivot, echelon row, combination)
 
-    def _eliminate(self, vec) -> tuple[list[int], list[int], int]:
+    def _eliminate(self, vec) -> tuple[tuple, list[int], list[int], int]:
         if len(vec) != self.dim:
             raise ValueError(f"expected a vector of length {self.dim}, got {len(vec)}")
         if set(map(type, vec)) <= {int}:  # integer data is read as it is
             scale, residual = 1, list(vec)
         else:
+            vec = vector(vec)
             scale = lcm(*(v.denominator for v in vec))
             residual = [v.numerator * (scale // v.denominator) for v in vec]
         acc = [0] * len(self.vectors)
@@ -99,14 +107,14 @@ class SpanBasis:
             for i, c in enumerate(comb):
                 acc[i] += lead * c
             scale *= p
-        return residual, acc, scale
+        return vec, residual, acc, scale
 
     def coordinates(self, vec) -> tuple | None:
         """Coordinates of ``vec`` over the admitted vectors, or None if outside.
 
         A result has one entry per vector admitted so far.
         """
-        residual, acc, scale = self._eliminate(vec)
+        _, residual, acc, scale = self._eliminate(vec)
         if any(residual):
             return None
         return _quotients(acc, scale)
@@ -118,13 +126,13 @@ class SpanBasis:
         unit vector of its own position.  A result has one entry per vector
         admitted so far, itself included; ``padded`` extends it as the basis grows.
         """
-        residual, acc, scale = self._eliminate(vec)
+        vec, residual, acc, scale = self._eliminate(vec)
         pivot = next((i for i, r in enumerate(residual) if r != 0), None)
         if pivot is None:
             return _quotients(acc, scale)
         comb = [-a for a in acc] + [scale]
         g = gcd(*residual, *comb)
-        self.vectors.append(vector(vec))
+        self.vectors.append(tuple(vec))
         self._rows.append((pivot, [r // g for r in residual], [c // g for c in comb]))
         return (0,) * len(acc) + (1,)
 

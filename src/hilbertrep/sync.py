@@ -33,8 +33,8 @@ from itertools import product, repeat
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .dfao import Record, from_base, require_at_least, require_base, to_base
-from .oracle import Point
+from .dfao import Record, from_base, require_base, to_base
+from .oracle import Point, require_at_least
 
 Triple = tuple[int, int, int]
 

@@ -25,7 +25,7 @@ trip checks.
 
 from __future__ import annotations
 
-from .dfao import Dfao, Record, dfao_equal, dfao_walk, hilbert_dfao, require_at_least, to_base
+from .dfao import Dfao, Record, dfao_equal, dfao_walk, hilbert_dfao, to_base
 from .linrep import (
     difference_rep,
     hilbert_linrep,
@@ -42,6 +42,7 @@ from .oracle import (
     generate_generation,
     hc_prefix,
     recode,
+    require_at_least,
     require_stage,
     walk,
 )

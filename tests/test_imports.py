@@ -5,9 +5,10 @@ name counts as used when it appears as a name anywhere in the module.
 Imports kept only for the traced benchmark run carry ``# noqa: F401``.
 A module-level ``_``-prefixed function or class counts as used when any
 module of the package names it; an exported name, when a module other
-than ``__init__.py`` names it or README mentions it.  The text ``must be
-at least`` is written only by ``dfao.require_at_least`` and by
-``cli._int_at_least``, whose message argparse prefixes with the argument.
+than ``__init__.py`` names it or README mentions it.  A lower bound is
+worded ``must be at least`` only by ``oracle.require_at_least`` and by
+``cli._int_at_least``, whose message argparse prefixes with the argument,
+and never ``must be non-negative``.
 """
 
 import ast
@@ -80,30 +81,34 @@ def test_a_dead_helper_is_caught():
     assert unreferenced_helpers(sources) == ["_dead", "_Gone"]
 
 
+_BOUND_WORDINGS = ("must be at least", "must be non-negative")
+
+
 def bound_message_owners(sources: dict[str, str]) -> list[str]:
-    """The top-level definitions, as ``module.name``, with a string holding ``must be at least``.
+    """The top-level definitions, as ``module.name``, with a string wording a lower bound.
 
     A string in any other top-level statement counts as ``module``.
     """
     owners = set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            if any(isinstance(part, ast.Constant) and isinstance(part.value, str) and "must be at least" in part.value
-                   for part in ast.walk(node)):
+            if any(isinstance(part, ast.Constant) and isinstance(part.value, str)
+                   and any(wording in part.value for wording in _BOUND_WORDINGS) for part in ast.walk(node)):
                 owners.add(f"{module}.{node.name}" if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else module)
     return sorted(owners)
 
 
 def test_one_helper_words_every_lower_bound():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
-    assert bound_message_owners(sources) == ["cli._int_at_least", "dfao.require_at_least"]
+    assert bound_message_owners(sources) == ["cli._int_at_least", "oracle.require_at_least"]
 
 
 def test_a_copied_lower_bound_message_is_caught():
     sources = {"a": 'def check(t):\n    if t < 0:\n        raise ValueError(f"t must be at least 0, got {t}")\n',
                "b": 'class B:\n    def f(self):\n        return "must be at least"\n',
-               "c": '"""The count must be at least 1."""\n', "d": 'def quiet(t):\n    return t >= 0\n'}
-    assert bound_message_owners(sources) == ["a.check", "b.B", "c"]
+               "c": '"""The count must be at least 1."""\n', "d": 'def quiet(t):\n    return t >= 0\n',
+               "e": 'def old(n):\n    if n < 0:\n        raise ValueError(f"n must be non-negative, got {n}")\n'}
+    assert bound_message_owners(sources) == ["a.check", "b.B", "c", "e.old"]
 
 
 def unused_exports(exports, sources, readme: str) -> list[str]:

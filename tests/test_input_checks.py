@@ -1,6 +1,7 @@
 """Each constructor and parser rejects a malformed input with its own message."""
 
 import re
+from decimal import Decimal
 
 import pytest
 
@@ -20,7 +21,8 @@ from hilbertrep.linrep import (
     linrep_walk,
     transduce_rep,
 )
-from hilbertrep.oracle import Direction, hc_prefix
+from hilbertrep.oracle import Direction, generate_generation, hc_prefix
+from hilbertrep.ratmat import SpanBasis
 from hilbertrep.sync import SyncAutomaton, hilbert_sync, sync_from_text, sync_locate_walk, sync_walk
 from hilbertrep.textfmt import ParseError, read_text
 from hilbertrep.verify import verify_cross, verify_identities, verify_sync_suite
@@ -66,12 +68,21 @@ CASES = {
                               ParseError, "line 3: duplicate output for state 0"),
     "dfao duplicate transition": (lambda: dfao_from_text(DFAO + "0 1 -> 0\n0 1 -> 0\n"),
                                   ParseError, "line 3: duplicate transition (0, 1)"),
+    # the header's base is checked before the body names a digit of it
+    "dfao base": (lambda: dfao_from_text("dfao base=0 states=1 initial=0\nstate 0 output=U\n0 0 -> 0\n"),
+                  ValueError, "base must be at least 2, got 0"),
     "linrep matrix count": (lambda: LinearRep(base=2, v=ONE, gamma=(ONE,), w=(1,)),
                             ValueError, "need one matrix per digit of base 2"),
     "linrep v shape": (lambda: LinearRep(base=2, v=((1, 0),), gamma=(ONE, ONE), w=(1,)),
                        ValueError, "v must have rank-length rows"),
     "linrep gamma shape": (lambda: LinearRep(base=2, v=ONE, gamma=(ONE, ((1, 0),)), w=(1,)),
                            ValueError, "gamma(1) must be 1 x 1"),
+    "linrep float entry": (lambda: LinearRep(base=2, v=((0.5,),), gamma=(ONE, ONE), w=(1,)),
+                           ValueError, "entries must be ints or Fractions, got float"),
+    "linrep Decimal entry": (lambda: LinearRep(base=2, v=ONE, gamma=(ONE, ONE), w=(Decimal(1),)),
+                             ValueError, "entries must be ints or Fractions, got Decimal"),
+    "span basis float entry": (lambda: SpanBasis(2).express((0.5, 1)),
+                               ValueError, "entries must be ints or Fractions, got float"),
     "transducer final state": (lambda: Transducer(base=2, state_count=1, initial=0, final=frozenset({1}),
                                                   moves=frozenset()),
                                ValueError, "final state out of range"),
@@ -97,6 +108,8 @@ CASES = {
     "guess depth": (lambda: guess_linrep(list(range(64)), 4, -1), ValueError, "depth must be at least 0, got -1"),
     "linrep scalar": (lambda: linrep_from_text(LINREP + "v\nx\n"),
                       ParseError, "line 3: expected integer or rational, got 'x'"),
+    "linrep base": (lambda: linrep_from_text("linrep base=0 out=1 rank=1\nv\n1\ngamma 0\n1\nw\n1\n"),
+                    ValueError, "base must be at least 2, got 0"),
     "linrep duplicate section": (lambda: linrep_from_text(LINREP + "v\n1\nv\n"),
                                  ParseError, "line 4: duplicate section 'v'"),
     "linrep value before section": (lambda: linrep_from_text(LINREP + "1\n"),
@@ -107,7 +120,9 @@ CASES = {
                     ParseError, "line 4: too many rows in section 'v'"),
     "linrep rank-0 rows": (lambda: linrep_from_text(RANK_0),
                            ParseError, "line 1: rank-0 output dimension 100000000000 exceeds the file's 5 lines"),
-    "hc_prefix negative": (lambda: hc_prefix(-1), ValueError, "prefix length must be non-negative, got -1"),
+    "hc_prefix negative": (lambda: hc_prefix(-1), ValueError, "prefix length must be at least 0, got -1"),
+    "generate_generation negative": (lambda: generate_generation(-1),
+                                     ValueError, "stage index must be at least 0, got -1"),
     "sync accepting state": (lambda: _one_state_sync({1}, {}), ValueError, "accepting state out of range"),
     "sync transition state": (lambda: _one_state_sync({0}, {(0, (0, 0, 0)): 1}),
                               ValueError, "transition (0, (0, 0, 0)) -> 1 state out of range"),

@@ -487,7 +487,9 @@ def test_guess_dimensions_fractions_and_bools():
     rep = guess_linrep(thirds, 4, 2).rep
     assert all(eval_linrep(rep, n) == (third,) for n, third in enumerate(thirds))
     parities = [n % 3 == 1 for n in range(64)]
-    assert guess_linrep(parities, 4, 1) == guess_linrep([int(b) for b in parities], 4, 1)
+    guess = guess_linrep(parities, 4, 1)
+    assert repr(guess) == repr(guess_linrep([int(b) for b in parities], 4, 1))  # no True or False is stored
+    assert {type(x) for m in (guess.rep.v, *guess.rep.gamma, [guess.rep.w]) for row in m for x in row} == {int}
 
 
 def _traced_peak(build) -> int:
@@ -510,10 +512,11 @@ def test_guess_allocates_no_copy_per_term():
 
 
 def test_text_round_trip():
+    """Byte-exact for rank 0, Fractions negative or not, and bases 2, 3, 4 and 17."""
     rank_zero = (minimize_rep(difference_rep(hilbert_linrep(), hilbert_linrep())),
                  guess_linrep([0] * 64, 4, 1).rep)
     assert all(rep.rank == 0 for rep in rank_zero)
-    for rep in (hilbert_linrep(), hilbert_step_rep()) + rank_zero:
+    for rep in (*_equivalence_reps().values(), *rank_zero):
         text = linrep_to_text(rep)
         loaded = linrep_from_text(text)
         assert loaded == rep
